@@ -561,12 +561,15 @@ def cmd_cache(args) -> int:
 
 def _server_stats(snapshot: dict) -> dict:
     """The serving-layer slice of a saved observability snapshot: every
-    ``server.*`` and ``tune.online.*`` counter/gauge, plus per-tenant
-    latency summaries pulled from the histograms."""
+    ``server.*`` and ``tune.online.*`` counter/gauge, the
+    ``parallel.dispatch.*`` counters (how many jobs ran inline vs on a
+    pool), plus per-tenant latency summaries pulled from the
+    histograms."""
     metrics = snapshot.get("metrics", snapshot)
     out: dict = {"counters": {}, "gauges": {}, "latency_ms": {}}
     for name, value in (metrics.get("counters") or {}).items():
-        if name.startswith(("server.", "tune.online.")):
+        if name.startswith(("server.", "tune.online.",
+                            "parallel.dispatch.")):
             out["counters"][name] = value
     for name, value in (metrics.get("gauges") or {}).items():
         if name.startswith(("server.", "tune.online.")):

@@ -18,6 +18,14 @@ Two backends:
   GIL-bound tile kernels (pure-Python inner work) and a building block for
   multi-node dispatch.
 
+Under the default tiling the thread backend sizes its dispatch to the
+job: one task per :data:`MIN_TASK_WORK` tap-points, capped at
+``workers``.  A sweep too small for two tasks (or any run with
+``workers=1``) runs *inline* in the calling thread — no pool, the same
+task body and the same after-barrier retries — because creating and
+feeding a pool costs more than such a sweep.  ``parallel.dispatch.inline``
+and ``parallel.dispatch.pooled`` count the choice per run.
+
 Both backends are bitwise deterministic: a tile's result depends only on
 the input grid, never on scheduling, and patches land in disjoint output
 slices — so any worker count, and either backend, produces identical
@@ -36,11 +44,14 @@ doubles as a recovery checkpoint.
 
 from __future__ import annotations
 
+import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +65,37 @@ from ..tiling.schedule import TileSchedule, build_schedule
 
 #: executor backends accepted by :func:`run_parallel`.
 BACKENDS: Tuple[str, ...] = ("thread", "process")
+
+#: Smallest sweep work (interior points x taps) worth one thread-pool
+#: task under the default tiling.  A task's dispatch cost ``d`` (pool
+#: creation + submit + result, per task) must stay within 5% of the
+#: sweep work ``w / r`` it carries, so ``MIN_TASK_WORK = 20 * d * r``.
+#: ``benchmarks/bench_parallel.py`` measures both: on a 2-vCPU x86-64
+#: host (Python 3.11), d = 50-75 us with a 4-thread pool and
+#: r = 3.7-5.5e8 tap-points/s for ``apply_tile``, implying 0.4-0.7 M
+#: over repeated runs.  A pooled run with k tasks carries at least
+#: k * MIN_TASK_WORK, so even with no overlap at all its dispatch costs
+#: at most 5%; a sweep below 2 * MIN_TASK_WORK cannot fill two tasks and
+#: runs inline.
+MIN_TASK_WORK = 500_000
+
+
+def default_tasks(spec: StencilSpec, shape: Sequence[int],
+                  workers: int) -> int:
+    """Thread-pool tasks the default tiling splits one sweep of ``spec``
+    over ``shape`` into: one per :data:`MIN_TASK_WORK` tap-points of
+    work, capped at ``workers``.  ``1`` means the sweep runs inline."""
+    work = math.prod(shape) * len(spec.offsets)
+    return max(1, min(workers, work // MIN_TASK_WORK))
+
+
+@functools.lru_cache(maxsize=256)
+def _default_schedule(shape: Tuple[int, ...], tasks: int) -> TileSchedule:
+    """The default tiling: ``tasks`` outer-axis slabs in one phase
+    (cached: schedules are immutable, and building one costs as much as
+    a small sweep)."""
+    chunk = max(1, -(-shape[0] // tasks))
+    return build_schedule(shape, (chunk,) + shape[1:])
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -213,17 +255,37 @@ def _run_phase_process(box: _PoolBox, spec: StencilSpec, cur: Grid,
     return restarts_left
 
 
-def _run_phase_thread(pool: ThreadPoolExecutor, spec: StencilSpec,
+class _Inline:
+    """``pool.submit`` for inline dispatch: runs ``fn`` in the calling
+    thread at once and holds a tile failure for a pool-style
+    ``result()`` (anything else propagates at once)."""
+
+    __slots__ = ("_exc",)
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self._exc: Optional[ReproError] = None
+        try:
+            fn(*args)
+        except ReproError as exc:
+            self._exc = exc
+
+    def result(self) -> None:
+        if self._exc is not None:
+            raise self._exc
+
+
+def _run_phase_thread(submit: Callable, spec: StencilSpec,
                       cur: Grid, nxt: Grid, phase: Sequence[Tile],
                       retries: int) -> None:
-    """One phase on the thread pool; failed tiles are recomputed
-    serially in the caller after the barrier."""
+    """One phase through ``submit`` (a thread pool's, or
+    :class:`_Inline`); failed tiles are recomputed serially in the
+    caller after the barrier."""
 
     def task(tile: Tile) -> None:
         faults.fault_point("pool.task_start")
         apply_tile(spec, cur, nxt, tile)
 
-    futures = [(pool.submit(task, tile), tile) for tile in phase]
+    futures = [(submit(task, tile), tile) for tile in phase]
     failed: List[Tile] = []
     for fut, tile in futures:
         try:
@@ -252,11 +314,13 @@ def run_parallel(
 ) -> Grid:
     """``steps`` parallel Jacobi sweeps; returns a new grid.
 
-    ``tile_shape`` defaults to splitting the outermost axis across
-    ``workers``.  A custom ``schedule`` overrides the default
-    single-phase blocking.  ``backend`` selects the executor (see the
-    module docstring); results are bitwise identical across backends and
-    worker counts.  ``retries`` bounds in-parent recomputations of a
+    ``tile_shape`` defaults to splitting the outermost axis into
+    :func:`default_tasks` tiles; on the thread backend a single default
+    tile, or ``workers=1``, runs inline without a pool.  A custom
+    ``schedule`` overrides the default single-phase blocking.
+    ``backend`` selects the executor (see the module docstring); results
+    are bitwise identical across backends, worker counts and dispatch
+    modes.  ``retries`` bounds in-parent recomputations of a
     failed tile; ``pool_restarts`` bounds process-pool resurrections
     after a worker loss (past it, the parent computes remaining tiles
     itself).  Every recovery path is bitwise identical to a clean run.
@@ -295,11 +359,17 @@ def run_parallel(
         raise TilingError("retries must be >= 0")
     if pool_restarts < 0:
         raise TilingError("pool_restarts must be >= 0")
+    tasks = workers  # an explicit tiling shares the caller's workers
     if schedule is None:
         if tile_shape is None:
-            chunk = max(1, -(-grid.shape[0] // max(1, workers)))
-            tile_shape = (chunk,) + grid.shape[1:]
-        schedule = build_schedule(grid.shape, tile_shape)
+            if backend == "thread":
+                tasks = default_tasks(spec, grid.shape, workers)
+            schedule = _default_schedule(grid.shape, tasks)
+        else:
+            schedule = build_schedule(grid.shape, tile_shape)
+    inline = backend == "thread" and tasks == 1
+    obs.counter("parallel.dispatch.inline" if inline
+                else "parallel.dispatch.pooled").inc()
     cur = grid.copy()
     nxt = grid.like()
     if backend == "process":
@@ -317,10 +387,12 @@ def run_parallel(
         finally:
             box.shutdown()
         return cur
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with (nullcontext() if inline
+          else ThreadPoolExecutor(max_workers=workers)) as pool:
+        submit = _Inline if inline else pool.submit
         for _ in range(steps):
             fill_halo(cur, boundary, value=value)
             for phase in schedule.phases:
-                _run_phase_thread(pool, spec, cur, nxt, phase, retries)
+                _run_phase_thread(submit, spec, cur, nxt, phase, retries)
             cur, nxt = nxt, cur
     return cur

@@ -12,7 +12,8 @@ once), and an execution configuration for the tiled numpy path:
 * :meth:`run_many` — dispatches a batch of sweep jobs through
   :func:`repro.parallel.executor.run_parallel`, each job tiled across the
   service's workers on the configured backend (thread pool by default,
-  the opt-in process pool for GIL-heavy tiles).
+  the opt-in process pool for GIL-heavy tiles); on the thread backend a
+  job too small to amortise a pool runs inline.
 
 Usage::
 
@@ -394,9 +395,10 @@ class KernelService:
 
         The run is guarded: retried/backed-off per the failure policy,
         and under ``degrade`` it walks the process → thread → serial
-        ladder (``serial`` = one thread-backend worker).  Tiling is
-        bitwise deterministic across backends and worker counts, so the
-        ladder never changes results."""
+        ladder (``serial`` = ``workers=1``, which runs inline in the
+        calling thread, no pool).  Tiling is bitwise deterministic
+        across backends and worker counts, so the ladder never changes
+        results."""
         degraded: List[Tuple[str, Callable[[], Grid]]] = []
         if self.run_backend == "process":
             degraded.append(
@@ -429,9 +431,10 @@ class KernelService:
         return result
 
     def run_many(self, jobs: Sequence[Union[SweepJob, Tuple]]) -> List[Grid]:
-        """Execute a batch of sweep jobs.  Jobs run one after another,
-        each internally tiled across the service's workers (a job already
-        saturates them; overlapping jobs would just thrash the pool)."""
+        """Execute a batch of sweep jobs, one after another.  A job big
+        enough to amortise a pool is tiled across the service's workers;
+        a smaller one runs inline in this thread (see
+        :func:`~repro.parallel.executor.default_tasks`)."""
         jobs = [j if isinstance(j, SweepJob) else SweepJob(*j) for j in jobs]
         with obs.span("service.run_many", jobs=len(jobs)):
             obs.histogram("service.run_batch_size").observe(len(jobs))

@@ -85,7 +85,9 @@ def _check_one(scheme: str, spec: StencilSpec, machine: MachineConfig,
         nx = 6 * max(machine.vector_elems, 4) + 3  # exercise the epilogue
         if scheme == "folding":
             nx = 3 * machine.vector_elems ** 2 + 3
-        shape = (4,) * (spec.ndim - 1) + (nx,)
+        # outer extents cover the halo: a periodic fill wraps at most
+        # one interior extent
+        shape = tuple(max(4, h) for h in halo[:-1]) + (nx,)
         dtype = np.float32 if machine.element_bytes == 4 else np.float64
         if machine.element_bytes == 4:
             tol = max(tol, 5e-4)  # single-precision round-off

@@ -235,6 +235,23 @@ class TestCli:
         assert payload["server"]["latency_ms"][
             "server.latency_ms.tenant.t0"]["count"] == 7
 
+    def test_stats_shows_dispatch_counters(self, tmp_path, capsys):
+        import json
+        snapshot = {"spans": [], "metrics": {
+            "counters": {"parallel.dispatch.inline": 5,
+                         "parallel.dispatch.pooled": 1,
+                         "parallel.task_retries": 3},
+            "gauges": {}, "histograms": {}}}
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(snapshot))
+        code, out, _ = run_cli(capsys, "stats", "--json",
+                               "--cache-dir", str(tmp_path / "cache"),
+                               "--db-dir", str(tmp_path / "db"),
+                               "--metrics-json", str(path))
+        assert code == 0
+        assert json.loads(out)["server"]["counters"] == {
+            "parallel.dispatch.inline": 5, "parallel.dispatch.pooled": 1}
+
     def test_stats_rejects_unreadable_snapshot(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "stats",
                                "--cache-dir", str(tmp_path / "cache"),

@@ -324,6 +324,25 @@ def test_executor_fault_recovery_never_changes_results(rules, seed):
         )
 
 
+@CHAOS_SETTINGS
+@given(rules=executor_fault_rules,
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_executor_fault_recovery_pooled_never_changes_results(rules, seed):
+    """The same random fault plans on the pooled thread path: an explicit
+    tiling keeps a grid this small on the pool (the default tiling runs
+    it inline), and recovery must still reproduce the clean sweep."""
+    spec = star(2, 1, center=0.5, arm=[0.125], name="chaos-probe")
+    grid = Grid.random((24, 32), spec.radius, seed=seed)
+    clean = run_parallel(spec, grid, 2, workers=3)
+    with inject(FaultPlan(rules=tuple(rules), seed=seed)):
+        faulted = run_parallel(spec, grid, 2, workers=3, tile_shape=(8, 32),
+                               retries=6)
+    assert np.array_equal(clean.data, faulted.data), (
+        f"pooled thread fault recovery diverged bitwise "
+        f"(plan: {[r.to_dict() for r in rules]})"
+    )
+
+
 batch_fault_rules = st.lists(
     st.builds(
         FaultRule,

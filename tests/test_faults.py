@@ -270,6 +270,17 @@ def _run_grids(backend: str, **kw):
     return run_parallel(SPEC, grid, 3, workers=4, backend=backend, **kw)
 
 
+#: an explicit tiling keeps a 40x40 thread run on the pool (the default
+#: tiling runs a grid this small inline)
+POOLED = {"tile_shape": (10, 40)}
+
+
+def _pooled_counted() -> bool:
+    counters = obs.snapshot()["metrics"]["counters"]
+    return (counters.get("parallel.dispatch.pooled", 0) > 0
+            and "parallel.dispatch.inline" not in counters)
+
+
 class TestExecutorHardening:
     def test_thread_tile_fault_retried_bitwise(self):
         clean = _run_grids("thread")
@@ -278,11 +289,33 @@ class TestExecutorHardening:
         assert inj.injected_by_site()["tile.sweep"] == 2
         assert np.array_equal(clean.data, faulted.data)
 
+    def test_thread_tile_fault_retried_bitwise_pooled(self, observing):
+        clean = _run_grids("thread")
+        obs.reset()
+        with inject(_plan(FaultRule("tile.sweep", after=2, times=2))) as inj:
+            faulted = _run_grids("thread", **POOLED)
+        assert inj.injected_by_site()["tile.sweep"] == 2
+        assert np.array_equal(clean.data, faulted.data)
+        assert _pooled_counted()
+        assert obs.snapshot()["metrics"]["counters"][
+            "parallel.task_retries"] >= 1
+
     def test_thread_pool_task_fault_retried_bitwise(self):
         clean = _run_grids("thread")
         with inject(_plan(FaultRule("pool.task_start"))):
             faulted = _run_grids("thread")
         assert np.array_equal(clean.data, faulted.data)
+
+    def test_thread_pool_task_fault_retried_bitwise_pooled(self, observing):
+        clean = _run_grids("thread")
+        obs.reset()
+        with inject(_plan(FaultRule("pool.task_start", times=3))) as inj:
+            faulted = _run_grids("thread", **POOLED)
+        assert inj.injected_by_site()["pool.task_start"] == 3
+        assert np.array_equal(clean.data, faulted.data)
+        assert _pooled_counted()
+        assert obs.snapshot()["metrics"]["counters"][
+            "parallel.task_retries"] == 3
 
     def test_process_worker_raise_recovered_bitwise(self):
         clean = _run_grids("process")
@@ -319,6 +352,11 @@ class TestExecutorHardening:
         with inject(_plan(FaultRule("tile.sweep", times=1000))):
             with pytest.raises(FaultInjected):
                 _run_grids("thread", retries=1)
+
+    def test_retry_budget_exhausted_raises_pooled(self):
+        with inject(_plan(FaultRule("tile.sweep", times=1000))):
+            with pytest.raises(FaultInjected):
+                _run_grids("thread", retries=1, **POOLED)
 
     @pytest.mark.parametrize("kw", [{"retries": -1}, {"pool_restarts": -1}])
     def test_negative_budgets_rejected(self, kw):

@@ -5,9 +5,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import AMD_EPYC_7V13, GENERIC_AVX2, INTEL_XEON_6230R
 from repro.errors import ModelError, TilingError
-from repro.parallel.executor import pool_context, run_parallel
+from repro.parallel import executor
+from repro.parallel.executor import (MIN_TASK_WORK, default_tasks,
+                                     pool_context, run_parallel)
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
 from repro.parallel.topology import (allocate_cores, partition_axis,
                                      shard_neighbors)
@@ -302,3 +305,125 @@ class TestExecutorDeterminism:
         b = run_parallel(spec, g, 2, workers=4, backend="process",
                          tile_shape=(4, 12, 12))
         assert np.array_equal(a.data, b.data)
+
+
+def _straddle(kernel: str, work: int, side: str) -> tuple:
+    """A grid shape for ``kernel`` whose sweep work (points x taps) sits
+    just below or just above ``work``: rows of a fixed inner extent."""
+    spec = library.get(kernel)
+    inner = {1: (), 2: (256,), 3: (32, 32)}[spec.ndim]
+    per_row = len(spec.offsets) * int(np.prod(inner, dtype=np.int64))
+    rows = (work - 1) // per_row + (side == "above")
+    return (rows,) + inner
+
+
+@pytest.fixture()
+def observing():
+    was = obs.enabled()
+    obs.enable(reset=True)
+    try:
+        yield
+    finally:
+        if not was:
+            obs.disable()
+
+
+def _dispatch_counts() -> tuple:
+    counters = obs.snapshot()["metrics"]["counters"]
+    return (counters.get("parallel.dispatch.inline", 0),
+            counters.get("parallel.dispatch.pooled", 0))
+
+
+class TestSizeAwareDispatch:
+    """Default-tiled thread runs pick inline vs pooled dispatch from the
+    sweep's size alone.  Both paths must stay bitwise identical to
+    apply_steps, and an inline run must never start a thread."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("kernel", ["heat-1d", "heat-2d", "heat-3d"])
+    @pytest.mark.parametrize("work, side, tasks", [
+        (MIN_TASK_WORK, "below", 1),
+        (MIN_TASK_WORK, "above", 1),
+        (2 * MIN_TASK_WORK, "below", 1),
+        (2 * MIN_TASK_WORK, "above", 2),
+    ])
+    def test_bitwise_across_cutoff(self, observing, kernel, boundary, work,
+                                   side, tasks):
+        spec = library.get(kernel)
+        shape = _straddle(kernel, work, side)
+        assert default_tasks(spec, shape, 4) == tasks
+        g = Grid.random(shape, spec.radius, seed=13)
+        ref = apply_steps(spec, g, 2, boundary=boundary, value=0.5)
+        runs = {}
+        for workers in (1, 2, 4, 8):
+            obs.reset()
+            runs[workers] = run_parallel(spec, g, 2, workers=workers,
+                                         boundary=boundary, value=0.5)
+            pooled = default_tasks(spec, shape, workers) > 1
+            assert _dispatch_counts() == ((0, 1) if pooled else (1, 0))
+            assert np.array_equal(runs[workers].interior, ref.interior)
+        for workers in (2, 4, 8):
+            assert np.array_equal(runs[workers].data, runs[1].data)
+
+    def test_default_tasks_capped_by_workers(self):
+        spec = library.get("heat-2d")
+        big = _straddle("heat-2d", 64 * MIN_TASK_WORK, "above")
+        assert default_tasks(spec, big, 4) == 4
+        assert default_tasks(spec, big, 1) == 1
+        assert default_tasks(spec, (32, 32), 8) == 1
+
+    @pytest.mark.parametrize("kernel", ["heat-1d", "heat-2d", "heat-3d"])
+    def test_below_cutoff_starts_no_thread(self, monkeypatch, kernel):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an inline run created a thread pool")
+
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", no_pool)
+        spec = library.get(kernel)
+        g = Grid.random(_straddle(kernel, 2 * MIN_TASK_WORK, "below"),
+                        spec.radius, seed=14)
+        ref = apply_steps(spec, g, 2)
+        for workers in (1, 2, 4, 8):
+            got = run_parallel(spec, g, 2, workers=workers)
+            assert np.array_equal(got.interior, ref.interior)
+        # workers=1 runs inline whatever the tiling
+        got = run_parallel(spec, g, 2, workers=1,
+                           tile_shape=(1,) + g.shape[1:])
+        assert np.array_equal(got.interior, ref.interior)
+        # and the patch is live: a pooled-size run does reach it
+        big = Grid.random(_straddle(kernel, 2 * MIN_TASK_WORK, "above"),
+                          spec.radius, seed=14)
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_parallel(spec, big, 1)
+
+    def _recording_pools(self, monkeypatch) -> list:
+        made = []
+        real_thread, real_box = executor.ThreadPoolExecutor, executor._PoolBox
+
+        def thread_pool(*args, **kwargs):
+            made.append("thread")
+            return real_thread(*args, **kwargs)
+
+        def process_box(*args, **kwargs):
+            made.append("process")
+            return real_box(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", thread_pool)
+        monkeypatch.setattr(executor, "_PoolBox", process_box)
+        return made
+
+    def test_explicit_tiling_and_process_backend_keep_their_pool(
+            self, monkeypatch, observing):
+        spec = library.get("heat-2d")
+        g = Grid.random((16, 16), spec.radius, seed=15)
+        ref = apply_steps(spec, g, 2)
+        made = self._recording_pools(monkeypatch)
+        runs = [
+            run_parallel(spec, g, 2, workers=4, tile_shape=(16, 16)),
+            run_parallel(spec, g, 2, workers=2,
+                         schedule=build_schedule((16, 16), (16, 16))),
+            run_parallel(spec, g, 2, workers=2, backend="process"),
+        ]
+        assert made == ["thread", "thread", "process"]
+        assert _dispatch_counts() == (0, 3)
+        for got in runs:
+            assert np.array_equal(got.interior, ref.interior)

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.config import GENERIC_AVX2
+from repro.config import (GENERIC_AVX2, GENERIC_AVX2_F32, GENERIC_AVX512,
+                          GENERIC_AVX512_F32)
+from repro.schemes import scheme_halo
+from repro.stencils import library
 from repro.validate import (
     DEFAULT_KERNELS,
     ValidationCase,
@@ -59,3 +62,18 @@ def test_default_kernels_cover_table3():
     assert set(DEFAULT_KERNELS) >= {
         "heat-1d", "heat-2d", "heat-3d", "box-2d9p", "box-3d27p",
     }
+
+
+@pytest.mark.parametrize("machine", [GENERIC_AVX512, GENERIC_AVX2_F32,
+                                     GENERIC_AVX512_F32],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("scheme", ["t-jigsaw", "temporal"])
+def test_outer_extent_covers_wide_halo(scheme, machine):
+    # star-2d13p's fused halo on these machines is wider than the
+    # harness's 4 outer rows; the outer extent must grow to hold it
+    spec = library.get("star-2d13p")
+    assert scheme_halo(scheme, spec, machine)[0] > 4
+    report = validate(schemes=(scheme,), kernels=("star-2d13p",),
+                      machines=(machine,), boundaries=("periodic",))
+    (case,) = report.cases
+    assert case.ok and not case.detail, report.summary()
