@@ -172,7 +172,7 @@ def cmd_tune(args) -> int:
         patience=args.patience,
     )
     exec_backends = ((args.backend,) if args.backend is not None
-                     else ("auto", "batch", "interp"))
+                     else ("auto", "interp"))
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     tuner = Tuner(machine, db=TuningDB(db_dir), budget=budget)
@@ -400,7 +400,7 @@ def _cmd_run_inner(args) -> int:
         kernel.run_numpy(grid, steps)
         engine = "numpy path"
     else:
-        # cycle-exact SIMD machine: batched tensor execution by default,
+        # cycle-exact SIMD machine: emitted-source codegen by default,
         # per-instruction interpreter with --backend interp
         kernel.run(grid, steps, backend=backend_flag)
         engine = f"machine/{backend_flag}"
@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s)")
     p.add_argument("--backend", default=None, choices=EXEC_BACKENDS,
                    help="restrict the SIMD-machine engine to one execution "
-                        "backend (default: search auto, batch and interp)")
+                        "backend (default: search auto and interp)")
     p.add_argument("--engines", default="machine,numpy,tiled,shard,scheme",
                    help="comma-separated engine families to search "
                         "(default: %(default)s)")
@@ -746,9 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("numpy",) + EXEC_BACKENDS,
                    help="execution engine: the numpy fast path (default), "
                         "or the cycle-exact SIMD machine with emitted-"
-                        "source execution (auto/codegen), batched tensor "
-                        "closures (batch), or the per-instruction "
-                        "interpreter (interp)")
+                        "source execution (auto/codegen) or the "
+                        "per-instruction interpreter (interp)")
     p.add_argument("--scheme", default=None, choices=SCHEMES,
                    help="run a specific vectorization scheme (jigsaw "
                         "variants use the compile pipeline; baselines run "

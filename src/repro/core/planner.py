@@ -33,7 +33,7 @@ class JigsawPlan:
     time_fusion: int
     use_sdf: bool = True
     #: preferred SIMD-machine execution backend ("auto" | "codegen" |
-    #: "batch" | "interp").  An execution-time preference only: it does not change
+    #: "interp").  An execution-time preference only: it does not change
     #: the generated program, so it participates in plan lookup keys but
     #: never in :meth:`cache_token` (program cache entries are shared
     #: across backends).
@@ -132,7 +132,7 @@ def _plan_checked(
 ) -> JigsawPlan:
     if backend not in EXEC_BACKENDS:
         raise PlanError(
-            f"unknown execution backend {backend!r}; "
+            f"backend={backend!r} is not a known execution backend; "
             f"known: {EXEC_BACKENDS}"
         )
     if time_fusion == "auto":

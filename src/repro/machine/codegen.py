@@ -1,11 +1,12 @@
 """Source-level code generation backend for vector programs.
 
-The batch backend (:mod:`repro.machine.batch`) already collapses the
-x loop into whole-row tensors, but it still dispatches one Python
-closure per instruction per outer-loop environment — for a 512x512
-grid that is hundreds of thousands of closure calls per sweep, and the
-numpy fixed cost on its small ``(trips, width)`` operands dominates.
-This module removes both overheads by *emitting source*:
+The interpreter (:class:`~repro.machine.machine.SimdMachine`) executes
+the body of a :class:`~repro.vectorize.program.VectorProgram` once per
+x-iteration in pure Python, one dispatch per instruction.  But a vector
+program's body is *static*: the same straight-line instruction sequence
+runs at every loop coordinate, only the memory addresses advance by
+fixed strides.  This module exploits that regularity by *emitting
+source*:
 
 * the whole loop nest is flattened — every register becomes one tensor
   of shape ``(*outer_trips, trips, width)``, so a single numpy op per
@@ -16,7 +17,7 @@ This module removes both overheads by *emitting source*:
   non-negative) or a hoisted flat int64 gather-index constant;
 * every shuffle is lowered to a precomputed last-axis gather whose
   index vector is derived from the scalar semantics themselves
-  (:func:`repro.machine.batch._probe_shuffle`);
+  (:func:`_probe_shuffle`);
 * single-use arithmetic values are inlined into their consumer, so
   MUL+FMA chains fold back into ``c0*v0 + (c1*v1 + ...)`` expressions
   exactly as the paper's C codegen would write them;
@@ -34,11 +35,20 @@ element copies; ADD/SUB/MUL/FMA are the same IEEE ops applied to the
 same operand values (inlining only substitutes a pure expression for
 its value, and the flattened tensors hold, per (env, x) coordinate,
 exactly the values the interpreter's registers hold at that
-iteration).  Loop-carried registers reuse the batch backend's peeling
-scheme verbatim — shifted rows, bytes-exact convergence, fallback on a
-true recurrence — emitted as a rounds loop in the generated source.
-The differential harness asserts interp == batch == codegen bitwise
+iteration).  The differential harness asserts interp == codegen bitwise
 for every scheme, dtype and random spec.
+
+**Loop-carried registers** (Algorithm 1's ``v0``/``vp0`` reuse, the
+sliding windows of Reorg/Folding/LBV) are *peeled into shifted rows*:
+the value entering row ``i`` is the value leaving row ``i-1`` (row 0
+comes from the prologue).  Every scheme's carry chains are finite
+renames of freshly loaded values (``mov`` slides ending in a load), so
+iterating "execute the flattened body, then shift the carried
+end-of-body values down one row" reaches a bitwise fixed point in
+``depth`` rounds, where ``depth`` is the longest carry chain.  A true
+recurrence (an accumulator carried across x) never converges; after
+``len(carried) + 2`` rounds the emitted code raises a ``recurrence``
+fallback.
 
 **Fallback taxonomy.**  :class:`CodegenFallback` carries a ``reason``
 the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
@@ -50,39 +60,90 @@ the driver feeds into ``exec.codegen_fallback.reason.*`` counters:
 * ``memory``     — hoisted index constants would exceed
   :data:`MEMORY_GUARD` elements;
 * ``recurrence`` — a loop-carried register never reaches a fixed
-  point (the scan/prefix case, exactly as in the batch backend).
+  point (the scan/prefix case).
 
-On any of these the driver degrades codegen -> batch -> interp;
-correctness never depends on this backend succeeding.
+On any of these the driver degrades codegen -> interp; correctness
+never depends on this backend succeeding.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import IsaError, MachineError
-from .batch import BatchedProgram, _probe_shuffle, _split_affine
-from .isa import Op
+from .isa import Affine, Instr, Op, execute_alu
 
 #: cap on the total number of hoisted gather-index elements per
 #: specialization; beyond this the int64 constants would rival the
-#: grids themselves and the batch backend is the better engine
+#: grids themselves and the interpreter is the better engine
 MEMORY_GUARD = 1 << 24
 
 
 class CodegenFallback(Exception):
     """The program (or these concrete arrays) cannot run on the codegen
-    backend; the caller should degrade to the batch backend.  ``reason``
+    backend; the caller should degrade to the interpreter.  ``reason``
     is one of ``compile | layout | memory | recurrence``."""
 
     def __init__(self, reason: str, message: str) -> None:
         super().__init__(message)
         self.reason = reason
+
+
+def _split_affine(aff: Affine, x_var: str) -> Tuple[int, int, Tuple[Tuple[str, int], ...]]:
+    """``(const, x_coefficient, outer_terms)`` of one address expression."""
+    coeff = 0
+    rest = []
+    for var, c in aff.terms:
+        if var == x_var:
+            coeff += c
+        else:
+            rest.append((var, c))
+    return aff.const, coeff, tuple(rest)
+
+
+def _probe_shuffle(instr: Instr, width: int, epl: int):
+    """Derive a shuffle's whole-tensor gather from its scalar semantics.
+
+    The scalar executor is run once on *index-valued* registers (source
+    ``k`` holds ``k*width+1 .. (k+1)*width``); the output spells out, per
+    destination element, which source element it selects (0 marks a
+    zeroed lane, e.g. PERM2F128's zero bit).  The emitted shuffle is
+    then a fancy-index gather — exact by construction, for any opcode
+    and any immediate.
+    """
+    n = len(instr.srcs)
+    names = tuple(f"__s{k}" for k in range(n))
+    probe = replace(instr, srcs=names)
+    regs = {
+        name: np.arange(k * width + 1, (k + 1) * width + 1, dtype=np.float64)
+        for k, name in enumerate(names)
+    }
+    execute_alu(probe, regs, width, epl=epl, dtype=np.float64)
+    codes = regs[instr.dst].astype(np.int64)
+    zero_cols = np.nonzero(codes == 0)[0]
+    gather = np.clip(codes - 1, 0, n * width - 1)
+    src_of = gather // width        # which source each element reads
+    col_of = gather % width         # which element of that source
+    return src_of, col_of, zero_cols
+
+
+def _find_carried(program) -> Tuple[str, ...]:
+    """Registers read before their first body write *and* written in
+    the body — their value crosses x-iterations."""
+    written: set = set()
+    early: List[str] = []
+    for instr in program.body:
+        for src in instr.srcs:
+            if src not in written and src not in early:
+                early.append(src)
+        if instr.dst:
+            written.add(instr.dst)
+    return tuple(r for r in early if r in written)
 
 
 def _as_view(flat: np.ndarray, offset: int, shape: Tuple[int, ...],
@@ -169,7 +230,7 @@ class CodegenProgram:
         self._loop_pos = {l.var: j for j, l in enumerate(self.outer_loops)}
         self._xs = (np.arange(self.trips, dtype=np.int64) * self.x_step
                     + self.x_start)
-        self.carried = BatchedProgram._find_carried(program)
+        self.carried = _find_carried(program)
         self._max_rounds = len(self.carried) + 2
         self.nodes: List[_Node] = []
         self.refs: List[_MemRef] = []
@@ -191,7 +252,7 @@ class CodegenProgram:
 
     def _split_mem(self, instr):
         """Static split of a memory operand; rejects x-dependence off
-        the unit-stride axis (same condition as the batch backend)."""
+        the unit-stride axis."""
         mem = instr.mem
         outer = []
         for aff in mem.index[:-1]:
@@ -354,7 +415,7 @@ class CodegenProgram:
 
     def _env_at(self, flat_index: int) -> dict:
         """Reconstruct the loop environment of one flattened outer index
-        (for error messages that mirror the batch backend's)."""
+        (for error messages that mirror the interpreter's)."""
         if not self.outer_dims:
             return {}
         multi = np.unravel_index(flat_index, self.outer_dims)
@@ -456,8 +517,8 @@ class CodegenProgram:
         """Execute one full sweep.  Raises :class:`CodegenFallback` when
         the arrays' layout defeats flattening or a loop-carried
         recurrence fails to converge (deferred stores make the failed
-        attempt harmless); the caller then degrades to the batch
-        backend."""
+        attempt harmless); the caller then degrades to the
+        interpreter."""
         if self._undefined_carry is not None:
             raise IsaError(
                 f"read of undefined register {self._undefined_carry!r}")
@@ -478,7 +539,7 @@ class CodegenProgram:
             raise CodegenFallback(
                 "memory",
                 f"hoisted index constants would need {budget} elements "
-                f"(guard: {MEMORY_GUARD}); batch backend is cheaper here")
+                f"(guard: {MEMORY_GUARD}); the interpreter is cheaper here")
         store_plan = self._plan_stores(sites)
 
         ns = {"np": np, "_as_view": _as_view,

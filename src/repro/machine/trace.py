@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from .isa import Instr, InstrClass, Op
 
@@ -103,3 +103,24 @@ def mix_of(instrs: Iterable[Instr]) -> TraceCounter:
     tc = TraceCounter()
     tc.add_many(instrs)
     return tc
+
+
+def analytic_trace(program, counter: Optional[TraceCounter] = None) -> TraceCounter:
+    """Executed-instruction counts of one full sweep, computed statically.
+
+    Exactly reproduces what :meth:`SimdMachine.run` tallies: the prologue
+    executes once per outer-loop entry, the body once per x-iteration,
+    and ``vectors``/``steps`` follow the program geometry.  Engines that
+    never execute instructions one at a time (the codegen backend) tally
+    their sweeps with this.
+    """
+    counter = counter if counter is not None else TraceCounter()
+    n_outer = 1
+    for loop in program.loops[:-1]:
+        n_outer *= loop.trip_count
+    body_runs = program.total_body_runs()
+    counter.add_many(program.prologue, times=n_outer)
+    counter.add_many(program.body, times=body_runs)
+    counter.vectors += program.vectors_per_iter * body_runs
+    counter.steps = program.steps_per_iter
+    return counter

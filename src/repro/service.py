@@ -151,8 +151,8 @@ class KernelService:
             )
         if exec_backend not in EXEC_BACKENDS:
             raise ReproError(
-                f"unknown exec backend {exec_backend!r}; "
-                f"known: {EXEC_BACKENDS}"
+                f"exec_backend={exec_backend!r} is not a known execution "
+                f"backend; known: {EXEC_BACKENDS}"
             )
         _require_int("compile_workers", compile_workers, 1)
         _require_int("run_workers", run_workers, 1)
@@ -181,7 +181,7 @@ class KernelService:
         self.run_backend = run_backend
         #: SIMD-machine execution backend stamped on every compiled
         #: kernel (see :data:`repro.vectorize.driver.EXEC_BACKENDS`);
-        #: ``auto`` degrades codegen -> batch -> interp at run time
+        #: ``auto`` degrades codegen -> interp at run time
         self.exec_backend = exec_backend
         if tuning_db is None:
             # disk-backed caches get a disk-backed tuning DB next to the
@@ -256,7 +256,7 @@ class KernelService:
         interpreter backend on a *private in-memory cache* — a wedged
         shared cache (e.g. an in-flight compile stuck past its timeout
         still holding the key lock) cannot block it, and interp is
-        bitwise identical to the batch engine, so degrading never
+        bitwise identical to the codegen engine, so degrading never
         changes results."""
         backend = backend or self.exec_backend
         degraded = [("interp", lambda: self._compile_once(

@@ -3,7 +3,7 @@ blocking.
 
 The grid is partitioned into contiguous slabs along the outermost axis
 (one per shard); each shard sweeps its slab privately — on the reference
-tap order or the compiled codegen/batch/interp pipeline — and ghost rows
+tap order or the compiled codegen/interp pipeline — and ghost rows
 are exchanged at every synchronization point.  Temporal blocking widens
 the exchanged halo to ``radius * s`` so ``s`` sweeps run per exchange,
 amortizing synchronization the way the temporal-vectorization literature

@@ -1,35 +1,37 @@
-"""Unit tests for the batched execution backend (repro.machine.batch).
+"""Retirement tests for the batched execution backend.
 
-The differential harness (tests/test_differential.py) already asserts
-bitwise interp/batch equality over random specs; this file pins the batch
-backend's *mechanisms*: carried-register peeling, the overlapping-store
-row loop, deferred stores across warm-up rounds, the recurrence fallback,
-and the driver's automatic interpreter fallback triggers.
+The batch engine (``repro.machine.batch``) was deleted: ``run_program``
+now degrades codegen -> interp.  This file keeps the guarantees the
+batch engine used to give, pinned on the engine that replaced it — the
+emitted-source codegen backend, which also runs every loop iteration at
+once as batched numpy rows — and checks that stale references to the
+batch engine (the module, the ``"batch"`` backend name) fail loudly.
+The carried-register, overlapping-store and ``steps=0`` cases moved to
+``tests/test_codegen.py``.
 """
+
+import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.config import GENERIC_AVX2
 from repro.errors import VectorizeError
-from repro.machine.batch import (
-    BatchedProgram,
-    BatchFallback,
-    analytic_trace,
-    get_batched,
-)
+from repro.machine.codegen import CodegenFallback, CodegenProgram, get_codegen
 from repro.machine.isa import Affine
 from repro.machine.machine import SimdMachine
+from repro.machine.trace import analytic_trace
 from repro.schemes import generate, scheme_halo
 from repro.stencils.grid import Grid
 from repro.stencils.spec import star
-from repro.vectorize.driver import run_program
+from repro.vectorize.driver import EXEC_BACKENDS, run_program
 from repro.vectorize.program import Loop, ProgramBuilder
 
 
 def _scan_program():
-    """A prefix-sum over x — a true loop-carried recurrence the batch
-    backend cannot peel."""
+    """A prefix-sum over x — a true loop-carried recurrence no batched
+    engine can peel."""
     b = ProgramBuilder(4)
     b.in_prologue()
     z = b.setzero()
@@ -43,13 +45,20 @@ def _scan_program():
 
 
 def _run_both(prog, arrays_factory):
-    """Run ``prog`` on the interpreter and on the batch backend against
-    independent array sets; return (interp_arrays, batch_arrays)."""
+    """Run ``prog`` on the interpreter and on the codegen backend against
+    independent array sets; return (interp_arrays, codegen_arrays)."""
     a1 = arrays_factory()
     a2 = arrays_factory()
     SimdMachine(prog.width, elem_bytes=prog.elem_bytes).run(prog, a1)
-    BatchedProgram(prog).run(a2)
+    CodegenProgram(prog).run(a2)
     return a1, a2
+
+
+def _jigsaw_1d():
+    spec = star(1, 1, center=-2.0, arm=[1.0])
+    halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
+    grid = Grid.random((40,), halo, seed=0)
+    return generate("jigsaw", spec, GENERIC_AVX2, grid)
 
 
 class TestBatchedBody:
@@ -68,52 +77,14 @@ class TestBatchedBody:
         assert np.array_equal(a2["out"], a1["out"])
         assert np.array_equal(a2["out"], 2 * np.arange(16.0))
 
-    def test_carried_register_peeling(self):
-        """A prologue-seeded register slid by the body (the Algorithm-1
-        window) must peel into shifted rows, matching the interpreter."""
-        b = ProgramBuilder(4)
-        b.in_prologue()
-        b.load_to("carry", b.mem(Affine.var("x")))
-        b.in_body()
-        b.store("carry", b.mem(Affine.var("x"), array="out"))
-        b.load_to("carry", b.mem(Affine.var("x", const=4)))
-        prog = b.build(name="p", scheme="t", loops=[Loop("x", 0, 16, 4)],
-                       vectors_per_iter=1)
-        assert BatchedProgram(prog)._carried == ("carry",)
-
-        def arrays():
-            return {"a": np.arange(20.0) ** 2, "out": np.zeros(16)}
-        a1, a2 = _run_both(prog, arrays)
-        assert np.array_equal(a2["out"], a1["out"])
-
-    def test_carry_chain_of_depth_two(self):
-        """mov-slide chains (w0 <- w1 <- fresh load) need one peel round
-        per link; convergence must still be exact."""
-        b = ProgramBuilder(4)
-        b.in_prologue()
-        b.load_to("w0", b.mem(Affine.var("x")))
-        b.load_to("w1", b.mem(Affine.var("x", const=4)))
-        b.in_body()
-        r = b.add("w0", "w1")
-        b.store(r, b.mem(Affine.var("x"), array="out"))
-        b.mov_to("w0", "w1")
-        b.load_to("w1", b.mem(Affine.var("x", const=8)))
-        prog = b.build(name="p", scheme="t", loops=[Loop("x", 0, 24, 4)],
-                       vectors_per_iter=1)
-        assert set(BatchedProgram(prog)._carried) == {"w0", "w1"}
-
-        def arrays():
-            return {"a": np.linspace(0.0, 1.0, 32), "out": np.zeros(24)}
-        a1, a2 = _run_both(prog, arrays)
-        assert np.array_equal(a2["out"], a1["out"])
-
     def test_true_recurrence_raises_fallback(self):
         """An accumulator carried across x never reaches a fixed point;
         the backend must refuse rather than return wrong values."""
         prog = _scan_program()
         arrays = {"a": np.arange(16.0), "out": np.zeros(16)}
-        with pytest.raises(BatchFallback):
-            BatchedProgram(prog).run(arrays)
+        with pytest.raises(CodegenFallback) as ei:
+            CodegenProgram(prog).run(arrays)
+        assert ei.value.reason == "recurrence"
         # deferred stores: the failed attempt must not have scribbled
         assert np.array_equal(arrays["out"], np.zeros(16))
 
@@ -136,66 +107,44 @@ class TestDriverFallback:
             accesses.append((array, offset, nbytes, is_store))
         hooked = run_program(prog, grid, 1, mem_hook=hook, backend="auto")
         assert accesses, "hook must observe the interpreter's accesses"
-        plain = run_program(prog, grid, 1, backend="batch")
+        plain = run_program(prog, grid, 1, backend="codegen")
         assert np.array_equal(hooked.data, plain.data)
 
     def test_recurrence_program_falls_back_silently(self):
         """backend="auto" on a non-peelable program must transparently
-        produce the interpreter's result."""
+        produce the interpreter's result: no exception, no warning."""
         prog = _scan_program()
-        a = np.arange(32.0)
-        out1, out2 = np.zeros(16), np.zeros(16)
-        SimdMachine(4).run(prog, {"a": a, "out": out1})
-        batched = BatchedProgram(prog)
-        try:
-            batched.run({"a": a, "out": out2})
-        except BatchFallback:
-            SimdMachine(4).run(prog, {"a": a, "out": out2})
-        assert np.array_equal(out2, out1)
-
-    def test_steps_zero_short_circuits(self):
-        prog, grid = self._jigsaw_case()
-        before = grid.data.copy()
-        got = run_program(prog, grid, 0)
-        assert got is not grid
-        assert np.array_equal(got.data, before)
-        assert np.array_equal(grid.data, before)  # input untouched
+        grid = Grid.random((16,), 0, seed=1)
+        expect = run_program(prog, grid, 1, backend="interp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_program(prog, grid, 1, backend="auto")
+        assert np.array_equal(got.data, expect.data)
 
     def test_bad_backend_rejected(self):
+        """Unknown names are errors; so is the retired ``"batch"``, whose
+        error names the parameter and lists the backends that remain."""
         prog, grid = self._jigsaw_case()
+        assert "batch" not in EXEC_BACKENDS
         with pytest.raises(VectorizeError):
             run_program(prog, grid, 1, backend="simd")
-
-
-class TestOverlappingStores:
-    def test_unit_stride_store_lets_later_rows_win(self):
-        """Store stride (1) < width (4): consecutive rows overlap, so the
-        batched scatter must apply rows in order like the interpreter."""
-        b = ProgramBuilder(4)
-        v = b.load(b.mem(Affine.var("x")))
-        b.store(v, b.mem(Affine.var("x"), array="out"))
-        prog = b.build(name="overlap", scheme="t",
-                       loops=[Loop("x", 0, 8, 1)], vectors_per_iter=1)
-
-        def arrays():
-            return {"a": np.arange(12.0), "out": np.zeros(12)}
-        a1, a2 = _run_both(prog, arrays)
-        assert np.array_equal(a2["out"], a1["out"])
+        with pytest.raises(VectorizeError,
+                           match=r"backend='batch'.*'auto', 'codegen', "
+                                 r"'interp'"):
+            run_program(prog, grid, 1, backend="batch")
 
 
 class TestCompileCache:
     def test_get_batched_memoizes(self):
-        spec = star(1, 1, center=-2.0, arm=[1.0])
-        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
-        grid = Grid.random((40,), halo, seed=0)
-        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
-        assert get_batched(prog) is get_batched(prog)
+        """The batch compile cache is gone with its module; the codegen
+        compile cache that replaced it memoizes per program."""
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.machine.batch")
+        prog = _jigsaw_1d()
+        assert get_codegen(prog) is get_codegen(prog)
 
     def test_analytic_trace_fresh_counter(self):
-        spec = star(1, 1, center=-2.0, arm=[1.0])
-        halo = scheme_halo("jigsaw", spec, GENERIC_AVX2)
-        grid = Grid.random((40,), halo, seed=0)
-        prog = generate("jigsaw", spec, GENERIC_AVX2, grid)
+        prog = _jigsaw_1d()
         tc = analytic_trace(prog)
         assert tc.vectors == prog.vectors_per_iter * prog.total_body_runs()
         assert tc.steps == prog.steps_per_iter

@@ -152,6 +152,24 @@ class TestCli:
         _, err = capsys.readouterr()
         assert "invalid choice" in err and "interp" in err
 
+    def test_run_rejects_retired_batch_backend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "run", "heat-1d", "--size", "4096",
+                    "--backend", "batch")
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--backend" in err and "invalid choice: 'batch'" in err
+        assert "'auto', 'codegen', 'interp'" in err
+
+    def test_run_rejects_fault_plan_with_unknown_site(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"rules": [{"site": "exec.batch_*"}]}')
+        code, _, err = run_cli(capsys, "run", "heat-1d", "--size", "64",
+                               "--steps", "1", "--fault-plan", str(path))
+        assert code == 2
+        assert "'exec.batch_*'" in err and "no injection site" in err
+
     def test_run_rejects_unknown_scheme(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "run", "heat-1d", "--size", "4096",

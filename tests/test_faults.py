@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ class TestPlanSerialization:
         with pytest.raises(ReproError):
             FaultPlan.from_dict({"seed": "abc"})
 
+    @pytest.mark.parametrize("site", ["exec.batch_*", "tile.swep",
+                                      "nowhere.*"])
+    def test_rule_matching_no_site_rejected(self, site):
+        """A stored rule whose glob matches no catalogued site would never
+        fire; loading it is an error that names the glob."""
+        payload = {"rules": [{"site": "tile.sweep"}, {"site": site}]}
+        with pytest.raises(ReproError, match=re.escape(repr(site))):
+            FaultPlan.from_dict(payload)
+
     def test_missing_plan_file(self, tmp_path):
         with pytest.raises(ReproError):
             FaultPlan.load(str(tmp_path / "absent.json"))
@@ -417,7 +427,7 @@ class TestServiceHardening:
 
     def test_compile_timeout_degrades_to_interp(self, observing):
         # a compile stuck past its timeout degrades to an interp-stamped
-        # kernel — bitwise-safe because batch and interp agree exactly
+        # kernel — bitwise-safe because codegen and interp agree exactly
         svc = KernelService(GENERIC_AVX2, failure_policy="degrade",
                             retries=0, task_timeout_s=0.2,
                             retry_backoff_s=0.0)
@@ -453,21 +463,26 @@ class TestServiceHardening:
 
 class TestDriverHardening:
     def test_batch_closure_fault_falls_back_to_interp(self, observing):
+        """The batch closure's fault site is gone with the batch engine;
+        a fault in the engine that replaced it, requested explicitly as
+        ``backend="codegen"``, falls back to the interpreter bitwise."""
+        assert "exec.batch_closure" not in SITES
         svc = KernelService(GENERIC_AVX2)
         k = svc.compile(SPEC, (32, 32))
         g = k.grid_like((32, 32), seed=9)
         steps = 2 * k.plan.time_fusion
-        clean = k.run(g, steps, backend="batch")
-        with inject(_plan(FaultRule("exec.batch_closure"))) as inj:
-            faulted = k.run(g, steps, backend="batch")
-        assert inj.injected_by_site()["exec.batch_closure"] == 1
+        clean = k.run(g, steps, backend="codegen")
+        with inject(_plan(FaultRule("exec.codegen_kernel"))) as inj:
+            faulted = k.run(g, steps, backend="codegen")
+        assert inj.injected_by_site()["exec.codegen_kernel"] == 1
         assert np.array_equal(clean.data, faulted.data)
         counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["exec.batch_fallback.reason.fault"] == 1
+        assert counters["exec.codegen_fallback.reason.fault"] == 1
 
     def test_codegen_fault_degrades_to_batch_bitwise(self, observing):
-        """A fault at the codegen site must degrade to the batch engine
-        (the next ladder rung), not to the interpreter directly."""
+        """A fault at the codegen site used to degrade to the batch
+        engine; with that rung deleted it must finish the run on the
+        interpreter with a bitwise-identical grid and no batch counter."""
         svc = KernelService(GENERIC_AVX2)
         k = svc.compile(SPEC, (32, 32))
         g = k.grid_like((32, 32), seed=9)
@@ -478,6 +493,7 @@ class TestDriverHardening:
         assert inj.injected_by_site()["exec.codegen_kernel"] == 1
         assert np.array_equal(clean.data, faulted.data)
         counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["exec.codegen_fallback"] == 1
         assert counters["exec.codegen_fallback.reason.fault"] == 1
         assert "exec.batch_fallback" not in counters
 

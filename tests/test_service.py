@@ -98,6 +98,13 @@ class TestValidation:
         with pytest.raises(ReproError):
             KernelService(GENERIC_AVX2, run_backend="mpi")
 
+    def test_rejects_retired_batch_exec_backend(self):
+        retired = "batch"  # the deleted row-tensor engine
+        with pytest.raises(ReproError,
+                           match=r"exec_backend='batch'.*'auto', "
+                                 r"'codegen', 'interp'"):
+            KernelService(GENERIC_AVX2, exec_backend=retired)
+
     def test_rejects_bad_worker_counts(self):
         with pytest.raises(ReproError):
             KernelService(GENERIC_AVX2, compile_workers=0)

@@ -323,6 +323,20 @@ class TestTuningDB:
         assert fresh.discards == 1
         assert not os.path.exists(path)
 
+    def test_retired_batch_backend_entry_discarded(self, tmp_path):
+        """A winner stored when the batch engine existed reads as a
+        stale entry: discarded, deleted, and the lookup misses."""
+        path = self._entry_path(tmp_path, "k1")
+        payload = make_record(
+            "k1", config=TuneConfig(engine="machine")).to_dict()
+        payload["config"]["exec_backend"] = "batch"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        db = TuningDB(str(tmp_path))
+        assert db.get("k1") is None
+        assert (db.discards, db.misses, db.hits) == (1, 1, 0)
+        assert not os.path.exists(path)
+
     def test_clear_removes_disk_entries(self, tmp_path):
         db = TuningDB(str(tmp_path))
         db.put(make_record("k1"))
@@ -390,6 +404,20 @@ class TestTuningDBPromote:
         assert db.entries() == ["k1"]
         assert db.clear() >= 3  # base + both deltas removed
         assert TuningDB(str(tmp_path)).get("k1") is None
+
+    def test_retired_batch_backend_delta_discarded(self, tmp_path):
+        from repro.tune.db import PROMOTE_INFIX
+        path = os.path.join(str(tmp_path),
+                            f"k1{PROMOTE_INFIX}999-deadbeef.json")
+        payload = make_record(
+            "k1", config=TuneConfig(engine="machine")).to_dict()
+        payload["config"]["exec_backend"] = "batch"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        db = TuningDB(str(tmp_path))
+        assert db.get("k1") is None
+        assert (db.discards, db.misses) == (1, 1)
+        assert not os.path.exists(path)
 
     def test_corrupted_delta_discarded(self, tmp_path):
         from repro.tune.db import PROMOTE_INFIX
