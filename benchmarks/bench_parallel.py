@@ -1,6 +1,14 @@
-"""Size-aware dispatch in ``run_parallel``: the cutoff and its gate.
+"""Size-aware dispatch in ``run_parallel``, and the tile sweep kernel.
 
-Part 1 measures what the cutoff is made of:
+Part 1 times the kernel every tile runs: one full-grid
+:func:`~repro.parallel.executor.apply_tile` against the
+:func:`~repro.stencils.apply_numpy` oracle on 1024^2 heat-2d, as the
+median ratio of alternating sample pairs, with the outputs compared
+bitwise.  Gate: ``apply_numpy / apply_tile >= 1.2``.  A 3-D tile whose
+planes overflow ``SWEEP_BLOCK_BYTES`` (star-3d13p on 8x512x512, where
+blocks fall back to their row floor) is recorded, not gated.
+
+Part 2 measures what the cutoff is made of:
 
 * the thread backend's per-task dispatch cost ``d``: create a pool of
   the default ``workers``, submit one no-op task per worker, collect the
@@ -14,7 +22,7 @@ and prints the cutoff they imply, ``d * r / OVERHEAD_BUDGET``: the work
 at which a task's dispatch costs 5% of its sweep, the rule
 :data:`~repro.parallel.executor.MIN_TASK_WORK` follows.
 
-Part 2 sweeps grid sizes (1-D 4096..1M, 2-D 32^2..1024^2, 3-D
+Part 3 sweeps grid sizes (1-D 4096..1M, 2-D 32^2..1024^2, 3-D
 16^3..96^3), timing default ``run_parallel`` against ``apply_steps``
 (the median ratio of alternating sample pairs), and checks every result
 bitwise against ``apply_steps``.  Gate: every size that dispatches
@@ -44,7 +52,7 @@ from _bench_utils import append_history, emit  # noqa: E402
 
 from repro.parallel.executor import (MIN_TASK_WORK, apply_tile,  # noqa: E402
                                      default_tasks, run_parallel)
-from repro.stencils import apply_steps, library  # noqa: E402
+from repro.stencils import apply_numpy, apply_steps, library  # noqa: E402
 from repro.stencils.boundary import fill_halo  # noqa: E402
 from repro.stencils.grid import Grid  # noqa: E402
 from repro.tiling.blocks import Tile  # noqa: E402
@@ -69,6 +77,11 @@ SIZES = (
     + [("heat-2d", (n, n)) for n in (32, 64, 128, 256, 512, 1024)]
     + [("heat-3d", (n, n, n)) for n in (16, 32, 48, 64, 96)]
 )
+#: the sweep-kernel gate: apply_tile over apply_numpy on this grid
+KERNEL_CASE = ("heat-2d", (1024, 1024))
+KERNEL_MIN_SPEEDUP = 1.2
+#: recorded, not gated: planes too large for one block's budget
+HUGE_PLANE_CASE = ("star-3d13p", (8, 512, 512))
 #: grids whose sweep work is near the cutoff, for the tap rate
 RATE_SIZES = (("heat-1d", (166_667,)), ("heat-2d", (320, 320)),
               ("heat-3d", (42, 42, 42)))
@@ -149,7 +162,33 @@ def _paired(serial, default) -> tuple:
     return min(s), min(d), statistics.median(ratios)
 
 
+def kernel_speedup(kernel: str, shape) -> dict:
+    """One full-grid ``apply_tile`` against ``apply_numpy`` (both into a
+    preallocated output): best seconds of each, the median speedup of
+    alternating pairs, and whether the outputs are bitwise equal."""
+    spec = library.get(kernel)
+    grid = Grid.random(shape, spec.radius, seed=3)
+    fill_halo(grid, "periodic")
+    ref = apply_numpy(spec, grid)
+    out = grid.like()
+    tile = Tile(start=(0,) * len(shape), stop=tuple(shape))
+    apply_tile(spec, grid, out, tile)
+    tile_s, numpy_s, speedup = _paired(
+        lambda: apply_tile(spec, grid, out, tile),
+        lambda: apply_numpy(spec, grid, ref))
+    return {
+        "kernel": kernel,
+        "shape": list(shape),
+        "bitwise": out.interior.tobytes() == ref.interior.tobytes(),
+        "apply_tile_s": tile_s,
+        "apply_numpy_s": numpy_s,
+        "speedup": speedup,
+    }
+
+
 def measure() -> dict:
+    sweep_kernel = kernel_speedup(*KERNEL_CASE)
+    huge_plane = kernel_speedup(*HUGE_PLANE_CASE)
     d = dispatch_cost_s()
     r = tap_rate()
     sizes = []
@@ -175,6 +214,9 @@ def measure() -> dict:
         })
     inline = [s["ratio"] for s in sizes if s["dispatch"] == "inline"]
     return {
+        "kernel": sweep_kernel,
+        "kernel_min_speedup": KERNEL_MIN_SPEEDUP,
+        "huge_plane": huge_plane,
         "workers": WORKERS,
         "steps": STEPS,
         "dispatch_us_per_task": d * 1e6,
@@ -193,6 +235,13 @@ def _report(data: dict) -> None:
     path = _artifact_path()
     append_history(path, data)
     lines = [
+        f"{label:<15} {k['kernel']} {'x'.join(map(str, k['shape']))}: "
+        f"apply_tile {k['apply_tile_s'] * 1e3:.2f} ms, apply_numpy "
+        f"{k['apply_numpy_s'] * 1e3:.2f} ms, speedup {k['speedup']:.2f}x"
+        + ("" if k["bitwise"] else "  NOT BITWISE")
+        for label, k in (("sweep kernel", data["kernel"]),
+                         ("huge plane", data["huge_plane"]))
+    ] + [
         f"dispatch        {data['dispatch_us_per_task']:.1f} us/task "
         f"({data['workers']}-thread pool: create + submit + result)",
         f"tap rate        {data['tap_rate']:.3g} tap-points/s (apply_tile)",
@@ -211,8 +260,11 @@ def _report(data: dict) -> None:
     lines.append(
         f"gate            inline default/serial <= {data['ratio_max']:.2f}: "
         f"worst {data['worst_inline_ratio']:.3f}")
+    lines.append(
+        f"gate            apply_numpy/apply_tile >= "
+        f"{data['kernel_min_speedup']:.2f}: {data['kernel']['speedup']:.2f}")
     lines.append(f"artifact        {path}")
-    emit("Size-aware dispatch: inline vs pooled run_parallel",
+    emit("Tile sweep kernel and size-aware dispatch in run_parallel",
          "\n".join(lines))
 
 
@@ -226,6 +278,15 @@ def _measured() -> dict:
         _DATA = measure()
         _report(_DATA)
     return _DATA
+
+
+def test_sweep_kernel_beats_apply_numpy():
+    data = _measured()
+    for case in (data["kernel"], data["huge_plane"]):
+        assert case["bitwise"], f"apply_tile diverged from apply_numpy: {case}"
+    assert data["kernel"]["speedup"] >= data["kernel_min_speedup"], (
+        f"apply_tile only {data['kernel']['speedup']:.2f}x apply_numpy "
+        f"(gate {data['kernel_min_speedup']:.2f}x)")
 
 
 def test_every_size_bitwise():
@@ -245,6 +306,7 @@ def test_inline_sizes_cost_no_more_than_serial():
 
 
 if __name__ == "__main__":
+    test_sweep_kernel_beats_apply_numpy()
     test_every_size_bitwise()
     test_inline_sizes_cost_no_more_than_serial()
     print("ok")

@@ -33,13 +33,13 @@ grids from the same inputs (guarded by ``tests/test_parallel.py``).
 
 Failure model (see ``docs/architecture.md``): a tile task that fails with
 a :class:`~repro.errors.ReproError` (which includes injected faults) is
-recomputed serially in the parent — :func:`apply_tile` zeroes its output
-slice first, so recomputation is idempotent and bitwise identical.  A
-crashed process pool (``BrokenProcessPool``, e.g. a killed worker) is
-restarted up to ``pool_restarts`` times with the phase's unfinished tiles
-resubmitted; past that budget the parent computes the stragglers itself.
-Phases completed before a crash are never redone — the per-phase barrier
-doubles as a recovery checkpoint.
+recomputed serially in the parent — :func:`apply_tile` overwrites its
+whole output slice, never accumulating into it, so recomputation is
+idempotent and bitwise identical.  A crashed process pool (``BrokenProcessPool``, e.g. a killed
+worker) is restarted up to ``pool_restarts`` times with the phase's
+unfinished tiles resubmitted; past that budget the parent computes the
+stragglers itself.  Phases completed before a crash are never redone —
+the per-phase barrier doubles as a recovery checkpoint.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ import functools
 import math
 import multiprocessing
 import os
+import struct
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,13 +73,29 @@ BACKENDS: Tuple[str, ...] = ("thread", "process")
 #: creation + submit + result, per task) must stay within 5% of the
 #: sweep work ``w / r`` it carries, so ``MIN_TASK_WORK = 20 * d * r``.
 #: ``benchmarks/bench_parallel.py`` measures both: on a 2-vCPU x86-64
-#: host (Python 3.11), d = 50-75 us with a 4-thread pool and
-#: r = 3.7-5.5e8 tap-points/s for ``apply_tile``, implying 0.4-0.7 M
-#: over repeated runs.  A pooled run with k tasks carries at least
-#: k * MIN_TASK_WORK, so even with no overlap at all its dispatch costs
-#: at most 5%; a sweep below 2 * MIN_TASK_WORK cannot fill two tasks and
-#: runs inline.
+#: host (Python 3.11), d = 40-90 us with a 4-thread pool and
+#: r = 1.0-1.5e9 tap-points/s for ``apply_tile``'s coefficient-shared
+#: kernel, implying 1.0-2.0 M over repeated runs.  The constant was set
+#: for the tap-by-tap kernel (r = 3.7-5.5e8, implying 0.4-0.7 M) and now
+#: sits below that range: a task at the cutoff spends 8-27% of its
+#: sweep on dispatch.  A pooled run with k tasks carries at least
+#: k * MIN_TASK_WORK; a sweep below 2 * MIN_TASK_WORK cannot fill two
+#: tasks and runs inline.
 MIN_TASK_WORK = 500_000
+
+#: Bytes one :func:`sweep_tile` row block may touch: the product
+#: windows of its distinct coefficients plus the accumulator, so a
+#: block's products are still in a per-core L2 when its taps read them.
+#: Every thread that sweeps keeps a scratch of up to this size.
+#: Measured with ``perfbench/run.py`` (25 s runs, 3 alternating rounds)
+#: on a 2-vCPU x86-64 host with 2 MiB L2 per core, against the
+#: tap-by-tap loop this kernel replaced: sweep-large ``gstencil_s`` rose
+#: 68-80% at 1 MiB, 55-64% at 768 KiB and 13-32% at 512 KiB, where the
+#: 96^3 slabs fall to the block-row floor and ``job_ms_p90`` got worse
+#: than before.  serve-diverse ``rss_peak_mb`` (four service threads
+#: each keep a scratch) rose 16-25% at 1 MiB, 11-22% at 768 KiB and
+#: 9-11% at 512 KiB, where its ``latency_ms_p99`` got 10-28% worse.
+SWEEP_BLOCK_BYTES = 768 << 10
 
 
 def default_tasks(spec: StencilSpec, shape: Sequence[int],
@@ -124,18 +142,132 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(method)
 
 
-def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
-    """One Jacobi sweep restricted to ``tile`` (halo must be filled).
-    Zeroes the output slice first, so a retried tile is idempotent."""
-    faults.fault_point("tile.sweep")
+class _SweepPlan(NamedTuple):
+    """How :func:`sweep_tile` walks one tile shape: the distinct
+    coefficients, the scratch size and, per outer-axis row block, the
+    block's rows, its accumulator's ``(scratch span, shape)``, one
+    ``(scratch span, window shape, input slices)`` product window per
+    coefficient, and the first and remaining ``(window index, window
+    slices)`` tap views, in spec order.  Input slices index the tile's
+    haloed input box."""
+
+    coeffs: Tuple[float, ...]
+    scratch: int
+    blocks: Tuple[Tuple, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _sweep_plan(offsets: Tuple[Tuple[int, ...], ...], coeff_bits: bytes,
+                halo: Tuple[int, ...], shape: Tuple[int, ...],
+                itemsize: int) -> _SweepPlan:
+    """Build (and cache: set-up costs more than a small sweep) the plan
+    for one tile shape.  Taps share a product window when their
+    coefficients have the same bit pattern — not ``==``, which merges
+    ``0.0`` and ``-0.0`` — and a window spans its taps' offset bounding
+    box."""
+    coeffs = struct.unpack(f"{len(offsets)}d", coeff_bits)
+    distinct: dict = {}  # coefficient bits -> (window index, value)
+    group = [distinct.setdefault(c.hex(), (len(distinct), c))[0]
+             for c in coeffs]
+    members = [[off for off, h in zip(offsets, group) if h == g]
+               for g in range(len(distinct))]
+    lo = [[min(axis) for axis in zip(*offs)] for offs in members]
+    hi = [[max(axis) for axis in zip(*offs)] for offs in members]
+    n0, inner = shape[0], shape[1:]
+    # row elements of each window, and its rows beyond the block's
+    widths = [math.prod(n + h - l for n, l, h in zip(inner, lg[1:], hg[1:]))
+              for lg, hg in zip(lo, hi)]
+    extra = [hg[0] - lg[0] for lg, hg in zip(lo, hi)]
+    budget = SWEEP_BLOCK_BYTES // itemsize - sum(
+        e * w for e, w in zip(extra, widths))
+    rows = budget // max(1, sum(widths) + math.prod(inner))
+    # the floor: a block never recomputes more halo rows than it outputs
+    nblocks = max(1, min(-(-n0 // max(1, rows)), n0 // max(1, *extra)))
+    bounds = [n0 * i // nblocks for i in range(nblocks + 1)]
+    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    starts, size = [], 0
+    for e, w in zip(extra, widths):
+        starts.append(size)
+        size += (rows + e) * w
+    acc = size
+    size += rows * math.prod(inner)
+    blocks = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        n = (r1 - r0,) + inner
+        corner = (r0,) + (0,) * len(inner)
+        windows = []
+        for at, lg, hg in zip(starts, lo, hi):
+            wshape = tuple(m + h - l for m, l, h in zip(n, lg, hg))
+            windows.append((
+                slice(at, at + math.prod(wshape)), wshape,
+                tuple(slice(hd + c + l, hd + c + m + h)
+                      for hd, c, m, l, h in zip(halo, corner, n, lg, hg))))
+        taps = tuple(
+            (g, tuple(slice(o - l, o - l + m)
+                      for o, l, m in zip(off, lo[g], n)))
+            for off, g in zip(offsets, group))
+        blocks.append((slice(r0, r1), slice(acc, acc + math.prod(n)), n,
+                       tuple(windows), taps[0], taps[1:]))
+    return _SweepPlan(tuple(c for _, c in distinct.values()), size,
+                      tuple(blocks))
+
+
+_thread_scratch = threading.local()
+
+
+def _scratch(size: int, dtype) -> np.ndarray:
+    """``size`` uninitialised elements of ``dtype`` for one sweep, from a
+    buffer the calling thread reuses (it grows on demand): a buffer
+    freed after each sweep is returned to the OS and page-faulted back
+    in by the next, measured up to 2x slower on 1-D sweeps.  A scratch
+    past :data:`SWEEP_BLOCK_BYTES` (a block at its row floor) is not
+    kept."""
+    buf = getattr(_thread_scratch, "buf", None)
+    if buf is not None and buf.size >= size and buf.dtype == dtype:
+        return buf[:size]
+    buf = np.empty(size, dtype)
+    if buf.nbytes <= SWEEP_BLOCK_BYTES:
+        _thread_scratch.buf = buf
+    return buf
+
+
+def sweep_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
+    """One Jacobi sweep restricted to ``tile`` (halo must be filled),
+    bitwise what :func:`~repro.stencils.reference.apply_numpy` writes
+    there.  Walks outer-axis row blocks sized to
+    :data:`SWEEP_BLOCK_BYTES`: per block, one product window
+    ``c * X[block + offsets]`` per distinct coefficient, then every tap
+    adds a shifted view of its window in spec order into a contiguous
+    accumulator (numpy adds into one run up to 2-3x faster than into
+    the haloed output's strided rows), which is copied out.  The first
+    tap writes ``0.0 + y``, so the output slice is fully overwritten
+    and a retried tile is idempotent."""
+    shape = tile.shape
+    plan = _sweep_plan(
+        spec.offsets, struct.pack(f"{len(spec.coeffs)}d", *spec.coeffs),
+        grid.halo, shape, grid.data.itemsize)
+    src = grid.data[tuple(slice(a, a + n + 2 * h) for a, n, h
+                          in zip(tile.start, shape, grid.halo))]
     dst = out.data[tile.slices(out.halo)]
-    dst.fill(0.0)
-    for off, c in zip(spec.offsets, spec.coeffs):
-        sl = tuple(
-            slice(h + a + o, h + b + o)
-            for h, a, b, o in zip(grid.halo, tile.start, tile.stop, off)
-        )
-        np.add(dst, c * grid.data[sl], out=dst)
+    scratch = _scratch(plan.scratch, src.dtype)
+    for rows, acc_span, n, windows, (g, sl), taps in plan.blocks:
+        bufs = []
+        for c, (span, wshape, window) in zip(plan.coeffs, windows):
+            buf = scratch[span].reshape(wshape)
+            np.multiply(c, src[window], out=buf)
+            bufs.append(buf)
+        acc = scratch[acc_span].reshape(n)
+        np.add(0.0, bufs[g][sl], out=acc)
+        for g, sl in taps:
+            np.add(acc, bufs[g][sl], out=acc)
+        dst[rows] = acc
+
+
+def apply_tile(spec: StencilSpec, grid: Grid, out: Grid, tile: Tile) -> None:
+    """One Jacobi sweep restricted to ``tile`` (halo must be filled):
+    :func:`sweep_tile` behind the ``tile.sweep`` fault point."""
+    faults.fault_point("tile.sweep")
+    sweep_tile(spec, grid, out, tile)
 
 
 def _sweep_tile_patch(args) -> np.ndarray:

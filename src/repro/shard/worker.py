@@ -4,8 +4,9 @@ A worker receives one shard's local window — the slab plus ``r0*s``
 gathered context rows per side — and advances it ``s`` sub-steps without
 talking to anyone, then returns exactly the slab rows.  Two engines:
 
-* **reference** — shifted-view accumulation in the reference tap order
-  (:mod:`repro.stencils.reference`), computing a collar that shrinks one
+* **reference** — the tile executor's sweep kernel
+  (:func:`~repro.parallel.executor.sweep_tile`, bitwise the reference
+  :mod:`repro.stencils.reference`), computing a collar that shrinks one
   radius per sub-step (:meth:`~repro.shard.plan.ShardPlan.margins`), so
   the result is *bitwise* what the serial reference produces for those
   rows;
@@ -34,9 +35,11 @@ import numpy as np
 
 from .. import faults
 from ..config import MachineConfig
+from ..parallel.executor import sweep_tile
 from ..stencils.boundary import fill_halo
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
+from ..tiling.blocks import Tile
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,12 @@ def _local_program(recipe: KernelRecipe, shape: Tuple[int, ...]):
 
 def _reference_sweep(spec: StencilSpec, job: ShardJob,
                      payload: np.ndarray) -> np.ndarray:
-    """``s_eff`` shrinking-collar sub-steps in the reference tap order."""
+    """``s_eff`` shrinking-collar sub-steps of the tile sweep kernel."""
     cur = Grid.from_array(payload, spec.radius)
     nxt = cur.like()
     r0 = spec.radius[0]
-    h0 = cur.halo[0]
     extent = payload.shape[0]
-    inner = tuple(
-        slice(h, h + n) for h, n in zip(cur.halo[1:], cur.shape[1:]))
+    inner = cur.shape[1:]
     for k in range(1, job.s_eff + 1):
         # the halo fill serves double duty: inner-axis ghosts are exact
         # (full rows travel with the window), and the outer-axis ghost is
@@ -108,15 +109,8 @@ def _reference_sweep(spec: StencilSpec, job: ShardJob,
         shrink = r0 * (job.s_eff - k)
         m_lo = 0 if job.lo_edge else job.lo_pad - shrink
         m_hi = 0 if job.hi_edge else job.hi_pad - shrink
-        lo = h0 + m_lo
-        hi = h0 + extent - m_hi
-        dst = nxt.data[(slice(lo, hi),) + inner]
-        dst.fill(0.0)
-        for off, c in zip(spec.offsets, spec.coeffs):
-            sl = (slice(lo + off[0], hi + off[0]),) + tuple(
-                slice(h + o, h + o + n)
-                for h, n, o in zip(cur.halo[1:], cur.shape[1:], off[1:]))
-            np.add(dst, c * cur.data[sl], out=dst)
+        sweep_tile(spec, cur, nxt, Tile(start=(m_lo,) + (0,) * len(inner),
+                                        stop=(extent - m_hi,) + inner))
         cur, nxt = nxt, cur
     slab = extent - job.lo_pad - job.hi_pad
     return np.ascontiguousarray(

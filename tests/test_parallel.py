@@ -1,23 +1,34 @@
 """Tests for topology, the multicore model, and the real executor."""
 
 import multiprocessing
+import struct
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.config import AMD_EPYC_7V13, GENERIC_AVX2, INTEL_XEON_6230R
 from repro.errors import ModelError, TilingError
+from repro.faults import FaultPlan, FaultRule, inject
 from repro.parallel import executor
-from repro.parallel.executor import (MIN_TASK_WORK, default_tasks,
+from repro.parallel.executor import (MIN_TASK_WORK, SWEEP_BLOCK_BYTES,
+                                     apply_tile, default_tasks,
                                      pool_context, run_parallel)
 from repro.parallel.simulator import MulticoreModel, ParallelSetup
 from repro.parallel.topology import (allocate_cores, partition_axis,
                                      shard_neighbors)
 from repro.schemes import model_cost
-from repro.stencils import apply_steps, library
+from repro.stencils import apply_numpy, apply_steps, library
+from repro.stencils.boundary import fill_halo
 from repro.stencils.grid import Grid
 from repro.stencils.library import table3_config
+from repro.stencils.spec import StencilSpec
+from repro.tiling.blocks import Tile
 from repro.tiling.schedule import build_schedule
 
 
@@ -427,3 +438,173 @@ class TestSizeAwareDispatch:
         assert _dispatch_counts() == (0, 3)
         for got in runs:
             assert np.array_equal(got.interior, ref.interior)
+
+
+@contextmanager
+def _block_bytes(nbytes: int):
+    """Run with ``SWEEP_BLOCK_BYTES`` set to ``nbytes`` (the plan cache is
+    cleared on the way in and out, since plans bake the block size in)."""
+    executor._sweep_plan.cache_clear()
+    executor.SWEEP_BLOCK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        executor.SWEEP_BLOCK_BYTES = SWEEP_BLOCK_BYTES
+        executor._sweep_plan.cache_clear()
+
+
+def _tile_bytes(spec, grid, tile) -> bytes:
+    """``apply_tile``'s bytes over ``tile``, written into an output whose
+    stale contents are NaN (so an unwritten point cannot pass)."""
+    out = grid.like()
+    out.data[...] = np.nan
+    apply_tile(spec, grid, out, tile)
+    return out.data[tile.slices(out.halo)].tobytes()
+
+
+# signed zeros, and 0.3 beside the double one ulp above it
+_COEFFS = (st.sampled_from([0.0, -0.0, 0.3, float(np.nextafter(0.3, 1.0)),
+                            -0.3, 1.0, 0.125])
+           | st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _sweep_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * ndim),
+                            min_size=1, max_size=9, unique=True))
+    # a small pool of coefficients, so taps repeat them
+    pool = draw(st.lists(_COEFFS, min_size=1, max_size=3))
+    coeffs = [draw(st.sampled_from(pool)) for _ in offsets]
+    spec = StencilSpec("prop", ndim, offsets, coeffs)
+    halo = tuple(r + draw(st.integers(0, 2)) for r in spec.radius)
+    shape = tuple(draw(st.integers(max(h, 1), max(h, 1) + 9))
+                  for h in halo)
+    start = tuple(draw(st.integers(0, n - 1)) for n in shape)
+    stop = tuple(draw(st.integers(a + 1, n)) for a, n in zip(start, shape))
+    return spec, halo, shape, Tile(start, stop)
+
+
+class TestSweepKernel:
+    """``apply_tile`` shares one product window per distinct coefficient
+    and walks row blocks; none of that may change a bit of what the
+    naive ``apply_numpy`` oracle writes over the tile."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_sweep_cases(),
+           boundary=st.sampled_from(["periodic", "dirichlet"]),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           block_bytes=st.sampled_from([8, 512, SWEEP_BLOCK_BYTES]),
+           seed=st.integers(0, 2**16))
+    def test_bitwise_matches_apply_numpy(self, case, boundary, dtype,
+                                         block_bytes, seed):
+        spec, halo, shape, tile = case
+        grid = Grid.random(shape, halo, seed=seed, low=-1.0, high=1.0,
+                           dtype=dtype)
+        # signed zeros in the input as well as in the coefficients
+        rng = np.random.default_rng(seed)
+        grid.interior[rng.random(shape) < 0.2] = 0.0
+        grid.interior[rng.random(shape) < 0.2] = -0.0
+        fill_halo(grid, boundary, value=-0.5)
+        ref = apply_numpy(spec, grid)
+        with _block_bytes(block_bytes):
+            got = _tile_bytes(spec, grid, tile)
+        assert got == ref.data[tile.slices(ref.halo)].tobytes()
+
+    def test_signed_zero_coefficients_not_merged(self):
+        # 0.0 == -0.0, but -0.0 * x and 0.0 * x differ in sign: the two
+        # taps must get separate product windows
+        spec = StencilSpec("zeros", 1, [(-1,), (0,), (1,)], [0.0, -0.0, 0.0])
+        plan = executor._sweep_plan(
+            spec.offsets, struct.pack("3d", *spec.coeffs), (1,), (8,), 8)
+        assert [c.hex() for c in plan.coeffs] == [
+            (0.0).hex(), (-0.0).hex()]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", library.names())
+    def test_library_multi_block_bitwise(self, kernel, dtype):
+        spec = library.get(kernel)
+        shape = {1: (20000,), 2: (150, 40), 3: (24, 16, 12)}[spec.ndim]
+        grid = Grid.random(shape, spec.radius, seed=3, low=-1.0,
+                           dtype=dtype)
+        fill_halo(grid, "periodic")
+        tile = Tile((0,) * spec.ndim, shape)
+        with _block_bytes(16 << 10):
+            plan = executor._sweep_plan(
+                spec.offsets, struct.pack(f"{spec.npoints}d", *spec.coeffs),
+                grid.halo, shape, grid.data.itemsize)
+            assert len(plan.blocks) > 1
+            got = _tile_bytes(spec, grid, tile)
+        ref = apply_numpy(spec, grid)
+        assert got == ref.interior.tobytes()
+
+    def test_huge_plane_block_floor(self):
+        # one 3-D plane's windows overflow the budget: blocks fall back to
+        # the floor, never fewer output rows than recomputed halo rows
+        spec = library.get("star-3d13p")
+        shape = (11, 64, 64)
+        grid = Grid.random(shape, spec.radius, seed=4)
+        fill_halo(grid, "periodic")
+        tile = Tile((0, 0, 0), shape)
+        with _block_bytes(64 << 10):
+            plan = executor._sweep_plan(
+                spec.offsets, struct.pack("13d", *spec.coeffs), grid.halo,
+                shape, 8)
+            got = _tile_bytes(spec, grid, tile)
+        rows = [block[0].stop - block[0].start for block in plan.blocks]
+        assert sum(rows) == shape[0] and len(rows) > 1
+        assert min(rows) >= 2 * spec.radius[0]
+        assert got == apply_numpy(spec, grid).interior.tobytes()
+
+    def test_retried_tile_fault_bitwise(self, observing):
+        """A ``tile.sweep`` fault then its retry rewrite a tile whose
+        output buffer holds a stale sweep: bytes equal the clean run."""
+        spec = library.get("star-2d13p")
+        grid = Grid.random((40, 40), spec.radius, seed=8, low=-1.0)
+        clean = run_parallel(spec, grid, 3, workers=2, tile_shape=(20, 40))
+        with inject(FaultPlan(rules=(FaultRule("tile.sweep", after=1,
+                                               times=2),))) as inj:
+            faulted = run_parallel(spec, grid, 3, workers=2,
+                                   tile_shape=(20, 40))
+        assert inj.injected_by_site() == {"tile.sweep": 2}
+        counters = obs.snapshot()["metrics"]["counters"]
+        assert counters["parallel.task_retries"] >= 1
+        assert faulted.data.tobytes() == clean.data.tobytes()
+        assert np.array_equal(faulted.interior,
+                              apply_steps(spec, grid, 3).interior)
+
+    def test_concurrent_sweeps_share_plans_safely(self):
+        """Threads sweeping one tile shape share a cached plan; each call
+        must keep its own scratch, so no thread sees another's products."""
+        spec = library.get("box-2d9p")
+        grids = []
+        for seed in range(8):
+            grid = Grid.random((48, 40), spec.radius, seed=seed, low=-1.0)
+            fill_halo(grid, "periodic")
+            grids.append(grid)
+        want = [apply_numpy(spec, g).interior.tobytes() for g in grids]
+        tile = Tile((0, 0), (48, 40))
+        bad = []
+
+        def worker(i: int) -> None:
+            out = grids[i].like()
+            for _ in range(30):
+                apply_tile(spec, grids[i], out, tile)
+                if out.interior.tobytes() != want[i]:
+                    bad.append(i)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _block_bytes(2048):  # many blocks: many switch points
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(len(grids))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
