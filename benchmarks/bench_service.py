@@ -6,8 +6,11 @@ and asserts the subsystem's contracts:
 
 * **clean capacity** — ``BENCH_SERVICE_REQUESTS`` (default 1000)
   concurrent mixed-tenant requests, all completed, every response
-  bitwise-identical to an uncontended single-request baseline, and
+  bitwise-identical to the numpy reference ``apply_steps``, and
   p99 latency within the SLO (``BENCH_SERVICE_SLO_MS``);
+* **serving never compiles** — the server's kernel cache sees zero
+  lookups (hits + misses) across the clean loaded phase: batches run
+  ``run_many`` only;
 * **chaos** — the same workload shape under a deterministic fault plan
   hitting the server sites (``server.enqueue``, ``server.batch_flush``)
   plus the execution sites underneath (``pool.task_start``,
@@ -39,8 +42,8 @@ from _bench_utils import append_history, attach_stages, emit  # noqa: E402
 
 from repro import faults, obs  # noqa: E402
 from repro.faults.plan import FaultPlan, FaultRule  # noqa: E402
-from repro.server import (LoadConfig, reference_results,  # noqa: E402
-                          run_load_sync)
+from repro.server import (LoadConfig, StencilServer,  # noqa: E402
+                          reference_results, run_load_sync)
 
 SHAPE = (32, 32)
 STEPS = 2
@@ -105,11 +108,18 @@ def measure() -> dict:
     references = reference_results(cfg)
     obs.enable(reset=True)
     try:
-        # clean capacity: admission wide open, nothing may be rejected
-        clean = run_load_sync(
-            cfg, references=references,
-            max_queue_depth=max(2048, 2 * REQUESTS),
-            quota_rate=float("inf"), **SERVER_KW)
+        # clean capacity: admission wide open, nothing may be rejected;
+        # the server's cache lookups across the load count compiles
+        server = StencilServer(max_queue_depth=max(2048, 2 * REQUESTS),
+                               quota_rate=float("inf"), **SERVER_KW)
+
+        def lookups() -> int:
+            stats = server.service.stats()
+            return stats["hits"] + stats["misses"]
+
+        before_lookups = lookups()
+        clean = run_load_sync(cfg, server=server, references=references)
+        clean_compile_lookups = lookups() - before_lookups
 
         # chaos: same shape, deterministic faults at the server + exec
         # sites; correctness must be untouched, latency may degrade
@@ -141,6 +151,7 @@ def measure() -> dict:
             "reject_slo_ms": REJECT_SLO_MS,
             "overload_depth": OVERLOAD_DEPTH,
             "clean": clean.to_dict(),
+            "clean_compile_lookups": clean_compile_lookups,
             "chaos": chaos.to_dict(),
             "chaos_injected": dict(sorted(injected.items())),
             "overload": overload.to_dict(),
@@ -165,7 +176,8 @@ def _report(data: dict) -> None:
         f"(SLO {data['slo_ms']:.0f}), "
         f"{clean['goodput_rps']:.0f} req/s, "
         f"mean batch {clean['batch_mean']:.1f}, "
-        f"bitwise {'OK' if clean['bitwise_ok'] else 'FAIL'}",
+        f"bitwise {'OK' if clean['bitwise_ok'] else 'FAIL'}, "
+        f"cache lookups {data['clean_compile_lookups']}",
         f"chaos           {chaos['completed']} completed under "
         f"{sum(data['chaos_injected'].values())} faults "
         f"({', '.join(f'{k}={v}' for k, v in data['chaos_injected'].items())}), "
@@ -207,13 +219,22 @@ def test_clean_capacity_and_slo():
     assert clean.rejected == 0 and clean.failed == 0
     assert clean.bitwise_ok, (
         f"{len(clean.mismatches)} responses diverged from the "
-        f"uncontended baseline: {clean.mismatches[:5]}")
+        f"numpy reference: {clean.mismatches[:5]}")
     assert clean.p99_ms <= data["slo_ms"], (
         f"clean p99 {clean.p99_ms:.1f} ms over the "
         f"{data['slo_ms']:.0f} ms SLO")
     assert clean.batch_mean > 1.0, (
         f"mean batch {clean.batch_mean:.2f}: micro-batching never "
         f"coalesced anything under a {data['requests']}-request herd")
+
+
+def test_serving_never_compiles():
+    """The clean load never touches the kernel cache: serving runs the
+    sweep kernel from the spec and compiles nothing."""
+    data, _, _, _ = _measured()
+    assert data["clean_compile_lookups"] == 0, (
+        f"the server made {data['clean_compile_lookups']} kernel-cache "
+        f"lookups while serving; batches must only run_many")
 
 
 def test_chaos_bitwise_and_slo():
@@ -265,6 +286,7 @@ def test_overload_fast_rejections_and_accounting():
 
 if __name__ == "__main__":
     test_clean_capacity_and_slo()
+    test_serving_never_compiles()
     test_chaos_bitwise_and_slo()
     test_overload_fast_rejections_and_accounting()
     print("ok")

@@ -196,7 +196,7 @@ def measure_online() -> dict:
                                trial_steps=2, engines=ONLINE_ENGINES,
                                exec_backends=ONLINE_BACKENDS))
     report = run_load_sync(lcfg, server=server,
-                           references=reference_results(lcfg, machine))
+                           references=reference_results(lcfg))
     live = server.online_tuner.stats()
 
     return {

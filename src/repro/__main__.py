@@ -470,7 +470,7 @@ def cmd_serve(args) -> int:
                                  shape=args.size, steps=args.steps,
                                  deadline_s=args.deadline_ms / 1e3
                                  if args.deadline_ms else None)
-                refs = reference_results(cfg, machine)
+                refs = reference_results(cfg)
                 probe = (await request_tcp("127.0.0.1", port, [
                     {"kernel": cfg.kernels[0], "shape": list(cfg.shape),
                      "steps": cfg.steps, "seed": 0}]))[0]
@@ -820,11 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "requests over TCP are admission-controlled "
                     "(per-tenant token buckets + a global queue-depth "
                     "ceiling), coalesced by deadline-aware "
-                    "micro-batching, and executed through the kernel "
-                    "service. Under load the server degrades "
-                    "gracefully: batch shedding, then the interp "
-                    "compile backend (bitwise identical), then fast "
-                    "rejection.")
+                    "micro-batching, and run as run_many batches of the "
+                    "kernel service's tiled sweep (serving compiles "
+                    "nothing). Under load the server degrades "
+                    "gracefully: batch shedding, then fast rejection.")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (default: an ephemeral port, printed "
@@ -852,7 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel-service sweep workers "
                         "(default: %(default)s)")
     p.add_argument("--cache-dir", default=None,
-                   help="persist compiled kernels to this directory")
+                   help="kernel cache directory; the online tuner's "
+                        "winners persist under tuning/ in it (serving "
+                        "itself compiles nothing)")
     p.add_argument("--online-tune", action="store_true",
                    help="explore tuning candidates in idle serving slots "
                         "(epsilon-greedy, occupancy-gated, "

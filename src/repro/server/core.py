@@ -6,9 +6,10 @@ users" goal asks for.  It accepts concurrent stencil jobs
 rejects them through :class:`~repro.server.admission.AdmissionController`
 (per-tenant token buckets + a global queue-depth ceiling), coalesces
 compatible admitted jobs into micro-batches, and executes each batch as
-one :meth:`~repro.service.KernelService.compile_many` /
-:meth:`~repro.service.KernelService.run_many` call on a thread-pool
-executor so the event loop never blocks on kernel work.
+one :meth:`~repro.service.KernelService.run_many` call on a thread-pool
+executor so the event loop never blocks on kernel work.  Serving
+compiles nothing: ``run_many`` sweeps with the tiled numpy kernel
+straight from the stencil spec.
 
 **Micro-batching.**  Jobs with the same batch key (stencil spec, shape,
 steps, boundary) join one open batch.  A batch flushes when it fills
@@ -25,15 +26,12 @@ happened to open first.
 1. occupancy >= ``shed_occupancy`` — batch size is shed to a quarter of
    ``max_batch`` so each flush returns sooner (lower per-batch latency,
    faster feedback to the admission gate);
-2. occupancy >= ``interp_occupancy`` — compiles pin the interpreter
-   backend (skipping codegen emission keeps the compile path cheap;
-   interp is bitwise-identical, so results never change);
-3. occupancy at 1.0 — admission rejects with
+2. occupancy at 1.0 — admission rejects with
    :class:`~repro.server.admission.ServerOverloaded` (the fast path:
    nothing is enqueued, nothing times out).
 
-The underlying :class:`~repro.service.KernelService` ladders
-(``failure_policy="degrade"``, retries, per-task timeouts) still apply
+The underlying :class:`~repro.service.KernelService` run ladder
+(``failure_policy="degrade"``, retries, per-task timeouts) still applies
 inside each batch, and the two server fault sites (``server.enqueue``,
 ``server.batch_flush``) are retried against injected faults so a chaos
 run returns bitwise-identical responses.
@@ -43,13 +41,10 @@ run returns bitwise-identical responses.
 and explores contender configurations from the autotuner search space —
 but only while the server is completely idle (no admitted request in
 flight, no batch open), so a trial can never delay a request.
-Promoted winners (bitwise-verified against the incumbent, compile cache
-pre-warmed) land in the service's shared
-:class:`~repro.tune.db.TuningDB`; each batch then runs on the stored
-winner for its workload — plan-aware winners steer the compile, tiled
-and sharded winners steer the executor.  Under the forced-interp
-overload rung tuned compiles are skipped (cheapness wins during
-overload; results are bitwise-identical either way).
+Promoted winners (bitwise-verified against the incumbent) land in the
+service's shared :class:`~repro.tune.db.TuningDB`; a stored tiled or
+sharded winner then steers the executor for its workload.  Winners
+from the plan-aware families change nothing that is served.
 
 Everything is instrumented under the ``server.*`` taxonomy (see
 ``docs/architecture.md``, Serving layer).
@@ -68,7 +63,7 @@ from .. import obs
 from ..config import GENERIC_AVX2, MachineConfig
 from ..errors import ReproError
 from ..faults import FaultInjected, fault_point
-from ..service import CompileRequest, KernelService, SweepJob
+from ..service import KernelService, SweepJob
 from ..stencils.grid import Grid
 from ..stencils.spec import StencilSpec
 from ..tune.online import OnlineTuneConfig, OnlineTuner
@@ -113,8 +108,8 @@ class StencilJob:
             raise ReproError("pass exactly one of seed= or grid=")
 
     def batch_key(self) -> Tuple:
-        """Jobs sharing this key may ride one micro-batch (one compile,
-        one ``run_many`` dispatch)."""
+        """Jobs sharing this key may ride one micro-batch (one
+        ``run_many`` dispatch)."""
         return (self.spec, self.shape, self.steps, self.boundary,
                 self.value)
 
@@ -183,13 +178,17 @@ class StencilServer:
         max_batch: int = 16,
         deadline_margin_s: float = 0.002,
         shed_occupancy: float = 0.5,
-        interp_occupancy: float = 0.75,
         executor_workers: int = 4,
         fault_retries: int = 3,
         online_tune: bool = False,
         online_tune_config: Optional[OnlineTuneConfig] = None,
         **service_kwargs,
     ) -> None:
+        if "interp_occupancy" in service_kwargs:
+            raise ReproError(
+                "interp_occupancy is retired: the server no longer "
+                "compiles, so there is no interp rung (the overload "
+                "ladder is shed_occupancy, then rejection)")
         if service is not None and (machine is not None or service_kwargs):
             raise ReproError(
                 "pass either a ready KernelService or construction "
@@ -202,12 +201,6 @@ class StencilServer:
             raise ReproError("deadline_margin_s must be >= 0")
         if not 0.0 < shed_occupancy <= 1.0:
             raise ReproError("shed_occupancy must be in (0, 1]")
-        if not 0.0 < interp_occupancy <= 1.0:
-            raise ReproError("interp_occupancy must be in (0, 1]")
-        if shed_occupancy > interp_occupancy:
-            raise ReproError(
-                "shed_occupancy must not exceed interp_occupancy "
-                "(shedding is the milder rung)")
         if not isinstance(executor_workers, int) or executor_workers < 1:
             raise ReproError("executor_workers must be an integer >= 1")
         if not isinstance(fault_retries, int) or fault_retries < 0:
@@ -235,7 +228,6 @@ class StencilServer:
         self.max_batch = max_batch
         self.deadline_margin_s = deadline_margin_s
         self.shed_occupancy = shed_occupancy
-        self.interp_occupancy = interp_occupancy
         self.executor_workers = executor_workers
         self.fault_retries = fault_retries
         self.online_tune = online_tune
@@ -382,12 +374,6 @@ class StencilServer:
             return max(1, self.max_batch // SHED_DIVISOR)
         return self.max_batch
 
-    def _force_interp(self) -> bool:
-        if self.occupancy() >= self.interp_occupancy:
-            obs.counter("server.overload.force_interp").inc()
-            return True
-        return False
-
     # -- flushing --------------------------------------------------------------
     async def _flush_loop(self) -> None:
         while True:
@@ -413,49 +399,38 @@ class StencilServer:
         obs.counter("server.batch.flushes").inc()
         self.flush_log.append(batch.key)
         eff = self._effective_max_batch()
-        force_interp = self._force_interp()
         for i in range(0, len(batch.jobs), eff):
             chunk = batch.jobs[i:i + eff]
             obs.histogram("server.batch.size").observe(len(chunk))
             fut = self._loop.run_in_executor(
-                self._executor, obs.propagate(self._execute_batch),
-                chunk, force_interp)
+                self._executor, obs.propagate(self._execute_batch), chunk)
             fut.add_done_callback(
                 lambda f, c=chunk: self._finish(c, f))
 
-    def _execute_batch(self, chunk: Sequence[_Pending],
-                       force_interp: bool) -> List[Grid]:
-        """One flushed chunk, on an executor thread: compile once through
-        the shared cache, then run every job (the service's retry /
-        degrade ladders guard both calls).
+    def _execute_batch(self, chunk: Sequence[_Pending]) -> List[Grid]:
+        """One flushed chunk, on an executor thread: one ``run_many``
+        call over every job (the service's retry / degrade ladder guards
+        it).  Nothing is compiled — the sweep kernel runs from the spec.
 
-        With online tuning on, the batch runs on the stored winner for
-        its workload (``tune="db"`` — a pure lookup, zero trials): a
-        plan-aware winner steers the compile, a tiled/shard winner
-        steers the executor.  Every engine is bitwise-identical, so a
-        promotion mid-stream never changes responses."""
+        With online tuning on, a stored tiled or sharded winner for the
+        workload steers the executor (a pure database lookup, zero
+        trials).  Every schedule is bitwise-identical, so a promotion
+        mid-stream never changes responses."""
         self._retry_faults("server.batch_flush")
         job0 = chunk[0].job
-        tuned = None
-        if self.online_tuner is not None and not force_interp:
+        tile = shards = None
+        blocks = 1
+        if self.online_tuner is not None:
             tuned = self.service.tuned_config(job0.spec, job0.shape,
                                               boundary=job0.boundary)
-            if tuned is not None:
+            if tuned is not None and tuned.engine == "tiled":
+                tile = tuned.tile_shape
+            elif tuned is not None and tuned.engine == "shard":
+                shards, blocks = tuned.shards, tuned.temporal_block
+            if tile is not None or shards is not None:
                 obs.counter("tune.online.applied").inc()
         with obs.span("server.batch", kernel=job0.spec.name,
                       jobs=len(chunk)):
-            if force_interp:
-                self.service.compile(job0.spec, job0.shape,
-                                     backend="interp")
-            else:
-                self.service.compile_many(
-                    [CompileRequest(job0.spec, job0.shape)],
-                    tune="db" if tuned is not None else False)
-            tile = tuned.tile_shape if (
-                tuned is not None and tuned.engine == "tiled") else None
-            shards = tuned.shards if (
-                tuned is not None and tuned.engine == "shard") else None
-            blocks = tuned.temporal_block if shards is not None else 1
             return self.service.run_many(
                 [SweepJob(p.job.spec, p.job.materialize(), p.job.steps,
                           boundary=p.job.boundary, value=p.job.value,

@@ -5,8 +5,8 @@ every request is a seeded :class:`~repro.server.core.StencilJob`, so
 the correct answer for each one is known in advance — and reports what
 a capacity test needs: p50/p99 latency, goodput, the rejection split by
 reason, and **bitwise correctness** of every completed response against
-an uncontended single-request baseline run through a plain
-:class:`~repro.service.KernelService`.
+the numpy reference :func:`~repro.stencils.reference.apply_steps` — an
+oracle independent of the service and executor that serve the request.
 
 ``benchmarks/bench_service.py`` gates SLOs on these reports;
 ``repro chaos --stages server`` compares two of them (clean vs faulted)
@@ -23,11 +23,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import GENERIC_AVX2, MachineConfig
 from ..errors import ReproError
-from ..service import KernelService, SweepJob
 from ..stencils import library
 from ..stencils.grid import Grid
+from ..stencils.reference import apply_steps
 from .admission import ServerOverloaded
 from .core import JobResult, StencilJob, StencilServer
 
@@ -166,21 +165,19 @@ def request_schedule(cfg: LoadConfig) -> List[Tuple[str, StencilJob, str]]:
     return out
 
 
-def reference_results(cfg: LoadConfig,
-                      machine: Optional[MachineConfig] = None
+def reference_results(cfg: LoadConfig
                       ) -> Dict[Tuple[str, int], np.ndarray]:
-    """The expected interior per distinct ``(kernel, seed)``, computed
-    uncontended through a plain :class:`KernelService` — the sweep
-    engine is bitwise deterministic across worker counts and backends,
+    """The expected interior per distinct ``(kernel, seed)``, computed by
+    the numpy reference :func:`~repro.stencils.reference.apply_steps`.
+    The serving sweep kernel is byte-identical to it for every schedule,
     so any server response must match these exactly."""
-    svc = KernelService(machine or GENERIC_AVX2)
     out: Dict[Tuple[str, int], np.ndarray] = {}
     for kernel in cfg.kernels:
         spec = library.get(kernel)
         for seed in range(cfg.seeds):
             grid = Grid.random(cfg.shape, spec.radius, seed=seed)
-            out[(kernel, seed)] = svc.run(
-                SweepJob(spec, grid, cfg.steps)).interior.copy()
+            out[(kernel, seed)] = apply_steps(
+                spec, grid, cfg.steps).interior.copy()
     return out
 
 

@@ -528,6 +528,11 @@ class TestChaos:
                 assert r.kind in CHAOS_SITE_KINDS[r.site]
         assert chaos_plan(3) == chaos_plan(3)  # seeded: reproducible
 
+    def test_all_stages_require_every_site(self):
+        # the default run (every stage) loses no catalogue coverage
+        from repro.faults.chaos import STAGES, required_sites
+        assert required_sites(STAGES) == SITES
+
     def test_chaos_run_bitwise_identical(self):
         from repro.faults.chaos import run_chaos
         try:

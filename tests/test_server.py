@@ -16,9 +16,13 @@ from repro.server import (AdmissionController, LoadConfig, LocalClient,
                           TokenBucket, reference_results, request_schedule,
                           run_load_sync)
 from repro.server.net import interior_checksum, request_tcp, serve_tcp
-from repro.service import KernelService, SweepJob
+from repro.service import KernelService
 from repro.stencils import library
 from repro.stencils.grid import Grid
+from repro.stencils.reference import apply_steps
+from repro.tune import OnlineTuneConfig
+from repro.tune.db import TuningRecord, workload_key
+from repro.tune.space import TuneConfig
 
 SHAPE = (16, 16)
 STEPS = 2
@@ -40,12 +44,11 @@ def _job(kernel="heat-2d", seed=0, shape=SHAPE, steps=STEPS):
 
 
 def _expected(kernel="heat-2d", seed=0, shape=SHAPE, steps=STEPS):
-    """The uncontended single-request answer every server response must
-    match bitwise (the sweep engine is deterministic across backends)."""
+    """The numpy reference answer every server response must match
+    bitwise (the serving sweep kernel is byte-identical to it)."""
     spec = library.get(kernel)
     grid = Grid.random(shape, spec.radius, seed=seed)
-    return KernelService(GENERIC_AVX2).run(
-        SweepJob(spec, grid, steps)).interior.copy()
+    return apply_steps(spec, grid, steps).interior.copy()
 
 
 def _serve(coro_fn, **server_kwargs):
@@ -107,6 +110,13 @@ class TestServerValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ReproError):
             StencilServer(machine=GENERIC_AVX2, **kwargs)
+
+    def test_rejects_retired_interp_occupancy(self):
+        for kwargs in ({"interp_occupancy": 0.75},
+                       {"service": KernelService(GENERIC_AVX2),
+                        "interp_occupancy": 0.75}):
+            with pytest.raises(ReproError, match="interp_occupancy"):
+                StencilServer(**kwargs)
 
     def test_rejects_service_plus_construction_keywords(self):
         svc = KernelService(GENERIC_AVX2)
@@ -176,23 +186,98 @@ class TestServing:
             return await asyncio.gather(
                 *(server.submit(_job(seed=s)) for s in range(3)))
 
-        # occupancy rungs so low every flush pins the interp backend
-        results = _serve(go, max_queue_depth=64, shed_occupancy=0.01,
-                         interp_occupancy=0.01)
+        # an occupancy rung so low every flush is shed: the ladder's
+        # only degradation must leave responses bitwise unchanged
+        results = _serve(go, max_queue_depth=64, shed_occupancy=0.01)
         for s, r in enumerate(results):
             assert np.array_equal(r.grid.interior, _expected(seed=s))
 
     def test_overload_ladder_sheds_batch_size(self):
         server = StencilServer(machine=GENERIC_AVX2, max_queue_depth=10,
-                               max_batch=8, shed_occupancy=0.5,
-                               interp_occupancy=0.75)
+                               max_batch=8, shed_occupancy=0.5)
         assert server._effective_max_batch() == 8
-        assert not server._force_interp()
         server._inflight = 5  # occupancy 0.5: rung 1
         assert server._effective_max_batch() == 2
-        assert not server._force_interp()
-        server._inflight = 8  # occupancy 0.8: rung 2
-        assert server._force_interp()
+        server._inflight = 8  # occupancy 0.8: still rung 1
+        assert server._effective_max_batch() == 2
+
+
+#: a mixed load: (kernel, shape) per request kind, 1-D to 3-D
+MIXED = (("heat-2d", (16, 16)), ("box-2d9p", (16, 32)),
+         ("star-2d13p", (16, 16)), ("heat-1d", (64,)),
+         ("heat-3d", (8, 8, 8)))
+
+
+class TestServingCompilesNothing:
+    """Serving runs ``run_many`` only: with every compile entry point
+    raising, a mixed load still answers bitwise equal to the numpy
+    reference."""
+
+    @pytest.fixture()
+    def no_compile(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the serving path compiled")
+
+        monkeypatch.setattr(KernelService, "compile", boom)
+        monkeypatch.setattr(KernelService, "compile_many", boom)
+
+    @staticmethod
+    def _tiled_winners(service):
+        """Store a tiled winner (half-extent tiles) for every MIXED
+        workload, rated far above anything a trial can measure."""
+        for kernel, shape in MIXED:
+            spec = library.get(kernel)
+            tile = tuple(max(1, n // 2) for n in shape)
+            service.tuning_db.put(TuningRecord(
+                key=workload_key(spec, service.machine, shape),
+                config=TuneConfig(engine="tiled", tile_shape=tile,
+                                  workers=2),
+                mstencil_s=1e9, seconds=1e-9, steps=STEPS))
+
+    @pytest.mark.parametrize("mode", ["thread", "tuned-tile"])
+    def test_mixed_load_is_bitwise_without_compiling(
+            self, mode, no_compile, observing, monkeypatch):
+        seen_tiles = []
+        run_many = KernelService.run_many
+
+        def spy(self, jobs):
+            seen_tiles.extend(j.tile_shape for j in jobs)
+            return run_many(self, jobs)
+
+        monkeypatch.setattr(KernelService, "run_many", spy)
+        service = KernelService(GENERIC_AVX2, run_backend="thread",
+                                run_workers=2)
+        kwargs = {}
+        if mode == "tuned-tile":
+            self._tiled_winners(service)
+            kwargs = dict(online_tune=True,
+                          online_tune_config=OnlineTuneConfig(
+                              engines=("tiled",), max_trials=1))
+        requests = [(kernel, shape, i % 2, f"t{i % 3}")
+                    for i, (kernel, shape) in enumerate(MIXED * 2)]
+
+        async def go(server):
+            return await asyncio.gather(*(
+                server.submit(_job(kernel, seed=seed, shape=shape),
+                              tenant=tenant)
+                for kernel, shape, seed, tenant in requests))
+
+        results = _serve(go, service=service, machine=None,
+                         batch_window_s=0.005, **kwargs)
+        for (kernel, shape, seed, _), res in zip(requests, results):
+            assert np.array_equal(
+                res.grid.interior,
+                _expected(kernel, seed=seed, shape=shape)), kernel
+        assert len(seen_tiles) == len(requests)
+        metrics = obs.snapshot()["metrics"]
+        applied = metrics["counters"].get("tune.online.applied", 0)
+        if mode == "tuned-tile":
+            assert all(t is not None for t in seen_tiles)
+            assert applied == metrics["histograms"][
+                "server.batch.size"]["count"]
+        else:
+            assert seen_tiles == [None] * len(requests)
+            assert applied == 0
 
 
 class TestTokenBucket:

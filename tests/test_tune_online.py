@@ -138,7 +138,7 @@ class TestOccupancyGate:
         load with zero failures, zero rejections and bitwise-correct
         responses; any promotion that happened was verified."""
         cfg = LoadConfig(requests=48, shape=(16, 16), steps=2)
-        refs = reference_results(cfg, GENERIC_AVX2)
+        refs = reference_results(cfg)
         server = StencilServer(
             machine=GENERIC_AVX2, online_tune=True,
             online_tune_config=OnlineTuneConfig(max_trials=6, **FAST))
